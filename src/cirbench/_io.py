@@ -1,17 +1,93 @@
-"""Atomic file writing helpers (write temp, then rename)."""
+"""Artifact I/O: atomic file writes and the one JSON Lines codec.
+
+Every JSONL artifact (corpus, chunks, enriched chunks, sweep report) is
+framed here: an optional leading ``run_config`` record that carries the
+resolved configuration, then one JSON object per line. The modules that
+own an artifact supply only the mapping between a record and an object.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import json
 import os
+import tempfile
 from pathlib import Path
+from typing import Callable, Iterable, TypeVar
+
+from .errors import CorpusFormatError
+
+T = TypeVar("T")
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Replace *path* with *data*: a crash leaves the old file or the new one.
+
+    The bytes go to a unique temp file in the target's directory, are
+    fsynced, then renamed over the target. The temp file is removed if any
+    step fails.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        # mkstemp creates the file 0600; give it the mode a plain open() would.
+        os.chmod(tmp, 0o666 & ~_umask())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def encode_jsonl(records: Iterable[dict], header: dict | None = None) -> str:
+    """One JSON object per line, led by a ``run_config`` record when *header* is given."""
+    lines = [] if header is None else [json.dumps({"type": "run_config", **header})]
+    lines.extend(json.dumps(rec) for rec in records)
+    return "\n".join(lines) + "\n"
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict], header: dict | None = None) -> None:
+    atomic_write_text(path, encode_jsonl(records, header))
+
+
+def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
+    """Map every record of a JSONL file through *parse*, in file order.
+
+    Blank lines and the ``run_config`` record are skipped. Bad JSON, a line
+    that is not an object, and a record that *parse* rejects with KeyError,
+    TypeError or ValueError all raise CorpusFormatError naming the path and
+    the line number.
+    """
+    out: list[T] = []
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"{path}: line {lineno}: {exc.msg}") from exc
+            if not isinstance(rec, dict):
+                raise CorpusFormatError(f"{path}: line {lineno}: expected a JSON object")
+            if rec.get("type") == "run_config":
+                continue
+            try:
+                out.append(parse(rec))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorpusFormatError(f"{path}: line {lineno}: bad record ({type(exc).__name__}: {exc})") from exc
+    return out

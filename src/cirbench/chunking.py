@@ -7,14 +7,12 @@ a section boundary, so every chunk has an unambiguous heading path.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from ._io import atomic_write_text
-from .errors import CorpusFormatError
+from ._io import read_jsonl, write_jsonl
 
 if TYPE_CHECKING:
     from .corpus import Document
@@ -88,48 +86,24 @@ def chunk_document(doc: "Document", target: int) -> list[Chunk]:
 
 def write_chunks(chunks: Iterable[Chunk], path: str | Path, header: dict | None = None) -> None:
     """Dump chunks as JSON Lines: chunk_id, doc_id, heading_path, tokens."""
-    lines = []
-    if header is not None:
-        lines.append(json.dumps({"type": "run_config", **header}))
-    for c in chunks:
-        lines.append(
-            json.dumps(
-                {
-                    "chunk_id": c.chunk_id,
-                    "doc_id": c.doc_id,
-                    "heading_path": c.heading_path,
-                    "tokens": c.tokens,
-                }
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    records = (
+        {"chunk_id": c.chunk_id, "doc_id": c.doc_id, "heading_path": c.heading_path, "tokens": c.tokens}
+        for c in chunks
+    )
+    write_jsonl(path, records, header)
+
+
+def _chunk_from_record(rec: dict) -> Chunk:
+    _, section_index, _ = parse_chunk_id(rec["chunk_id"])
+    return Chunk(
+        chunk_id=rec["chunk_id"],
+        doc_id=rec["doc_id"],
+        section_index=section_index,
+        heading_path=list(rec["heading_path"]),
+        tokens=list(rec["tokens"]),
+    )
 
 
 def read_chunks(path: str | Path) -> list[Chunk]:
     """Read a chunk dump; section index and offset come from the chunk id."""
-    chunks: list[Chunk] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: {exc.msg}") from exc
-            if rec.get("type") == "run_config":
-                continue
-            try:
-                _, section_index, _ = parse_chunk_id(rec["chunk_id"])
-                chunks.append(
-                    Chunk(
-                        chunk_id=rec["chunk_id"],
-                        doc_id=rec["doc_id"],
-                        section_index=section_index,
-                        heading_path=list(rec["heading_path"]),
-                        tokens=list(rec["tokens"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: bad chunk record ({exc})") from exc
-    return chunks
+    return read_jsonl(path, _chunk_from_record)

@@ -1,4 +1,4 @@
-"""Command-line pipeline: gen, chunk, inject, embed, index, query, sweep, report.
+"""Command-line pipeline: gen, chunk, inject, embed, query, sweep, report.
 
 Each stage reads and writes the documented on-disk formats, so the sweep
 can be reproduced by chaining the individual commands. All randomness
@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 invalid flags, 3 missing input file,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -38,16 +37,19 @@ EXIT_USAGE = 2
 EXIT_MISSING = 3
 EXIT_FORMAT = 4
 
-_DEFAULTS = {
-    "seed": 42,
-    "docs": 50,
-    "dim": 256,
-    "hash_seed": None,  # derived from seed when not given
-    "chunk_target": 250,
-    "queries": 200,
-    "specific_fraction": 0.5,
-    "t_max": 0.35,
-    "strategies": "baseline,low,medium,high,overload,ddai",
+# Every configurable value: name -> (type, default, help). Each is a flag,
+# a config-file key and a provenance entry; this order is the order of the
+# provenance header written into every artifact.
+_FIELDS = {
+    "seed": (int, 42, "top-level seed (default 42)"),
+    "docs": (int, 50, "total document count, split 30/40/30 across typologies"),
+    "dim": (int, 256, "embedding dimension (default 256)"),
+    "hash_seed": (int, None, "embedder hash seed (default: forked from --seed)"),
+    "chunk_target": (int, 250, "chunk window size in tokens (default 250)"),
+    "queries": (int, 200, "ground-truth query count (default 200)"),
+    "specific_fraction": (float, 0.5, "share of specific queries (default 0.5)"),
+    "t_max": (float, 0.35, "adaptive-injection ratio threshold (default 0.35)"),
+    "strategies": (str, "baseline,low,medium,high,overload,ddai", "comma-separated strategy kinds"),
 }
 
 
@@ -72,33 +74,22 @@ def _load_config_file(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and explicit flags (flags win)."""
-    resolved = dict(_DEFAULTS)
+    resolved = {name: default for name, (_, default, _) in _FIELDS.items()}
     if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-        for key, raw in file_values.items():
-            if key not in resolved:
+        for key, raw in _load_config_file(args.config).items():
+            if key not in _FIELDS:
                 raise FormatError(f"config file: unknown key {key!r}")
-            resolved[key] = raw
-    for key in resolved:
+            try:
+                resolved[key] = _FIELDS[key][0](raw)
+            except ValueError as exc:
+                raise FormatError(f"config file: invalid value for {key} ({exc})") from exc
+    for key in _FIELDS:
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
-    try:
-        resolved["seed"] = int(resolved["seed"])
-        resolved["docs"] = int(resolved["docs"])
-        resolved["dim"] = int(resolved["dim"])
-        resolved["chunk_target"] = int(resolved["chunk_target"])
-        resolved["queries"] = int(resolved["queries"])
-        resolved["specific_fraction"] = float(resolved["specific_fraction"])
-        resolved["t_max"] = float(resolved["t_max"])
-        if resolved["hash_seed"] is None:
-            resolved["hash_seed"] = fork_seed(resolved["seed"], "embed") % (1 << 62)
-        else:
-            resolved["hash_seed"] = int(resolved["hash_seed"])
-    except ValueError as exc:
-        raise FormatError(f"config: invalid value ({exc})") from exc
-    if isinstance(resolved["strategies"], str):
-        resolved["strategies"] = [s.strip() for s in resolved["strategies"].split(",") if s.strip()]
+    if resolved["hash_seed"] is None:
+        resolved["hash_seed"] = fork_seed(resolved["seed"], "embed") % (1 << 62)
+    resolved["strategies"] = [s.strip() for s in resolved["strategies"].split(",") if s.strip()]
     return resolved
 
 
@@ -123,8 +114,7 @@ def _corpus_config(resolved: dict) -> CorpusConfig:
 
 
 def _provenance(resolved: dict) -> dict:
-    keep = ("seed", "docs", "dim", "hash_seed", "chunk_target", "queries", "specific_fraction", "t_max")
-    out = {k: resolved[k] for k in keep}
+    out = {k: resolved[k] for k in _FIELDS}
     out["strategies"] = ",".join(resolved["strategies"])
     return out
 
@@ -175,22 +165,17 @@ def cmd_embed(args: argparse.Namespace) -> int:
     entries = [
         (r["chunk_id"], r["doc_id"], r["section_index"], vectors[i]) for i, r in enumerate(records)
     ]
-    save_index(build_index(entries), args.out)
+    save_index(build_index(entries, config.hash_seed), args.out)
     print(f"wrote {len(entries)} vectors (dim {config.dim}) to {args.out}")
-    return EXIT_OK
-
-
-def cmd_index(args: argparse.Namespace) -> int:
-    index = load_index(args.vectors)
-    save_index(index, args.out)
-    print(f"wrote index of {index.count} entries (dim {index.dim}) to {args.out}")
     return EXIT_OK
 
 
 def cmd_query(args: argparse.Namespace) -> int:
     index = load_index(args.index)
-    hash_seed = int(args.hash_seed) if args.hash_seed is not None else 0
-    config = EmbedderConfig(dim=index.dim, hash_seed=hash_seed)
+    if args.hash_seed is not None and args.hash_seed != index.hash_seed:
+        print(f"error: --hash-seed {args.hash_seed} disagrees with the index's {index.hash_seed}", file=sys.stderr)
+        return EXIT_USAGE
+    config = EmbedderConfig(dim=index.dim, hash_seed=index.hash_seed)
     tokens = tokenize(args.text)
     if not tokens:
         print("error: query text produced no tokens", file=sys.stderr)
@@ -217,8 +202,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     csv_text = report_csv(report) + flags_line + "\n" + _config_comment(resolved) + "\n"
     atomic_write_text(out_dir / "sweep.csv", csv_text)
-    jsonl_text = json.dumps({"type": "run_config", **_provenance(resolved)}) + "\n" + report_jsonl(report)
-    atomic_write_text(out_dir / "sweep.jsonl", jsonl_text)
+    atomic_write_text(out_dir / "sweep.jsonl", report_jsonl(report, header=_provenance(resolved)))
     print(csv_text, end="")
     print(f"wrote {out_dir / 'sweep.csv'} and {out_dir / 'sweep.jsonl'}")
     return EXIT_OK
@@ -233,20 +217,17 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    flags = {
-        "seed": dict(type=int, help="top-level seed (default 42)"),
-        "docs": dict(type=int, help="total document count, split 30/40/30 across typologies"),
-        "dim": dict(type=int, help="embedding dimension (default 256)"),
-        "hash_seed": dict(type=int, help="embedder hash seed (default: forked from --seed)"),
-        "chunk_target": dict(type=int, help="chunk window size in tokens (default 250)"),
-        "queries": dict(type=int, help="ground-truth query count (default 200)"),
-        "specific_fraction": dict(type=float, help="share of specific queries (default 0.5)"),
-        "t_max": dict(type=float, help="adaptive-injection ratio threshold (default 0.35)"),
-        "strategies": dict(type=str, help="comma-separated strategy kinds"),
-    }
     for name in names:
-        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, default=None, **flags[name])
+        kind, _, help_text = _FIELDS[name]
+        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None, help=help_text)
     parser.add_argument("--config", default=None, help="key = value config file; flags override it")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,16 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="binary vector file output path")
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("index", help="validate and canonicalize a binary vector file")
-    p.add_argument("--vectors", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_index)
-
     p = sub.add_parser("query", help="run one query against a saved index")
     p.add_argument("--index", required=True)
     p.add_argument("--text", required=True)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--hash-seed", dest="hash_seed", type=int, default=None)
+    p.add_argument("--k", type=_positive_int, default=10)
+    p.add_argument(
+        "--hash-seed", dest="hash_seed", type=int, default=None, help="must equal the hash seed the index records"
+    )
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("sweep", help="run the full pipeline across strategies")

@@ -16,14 +16,13 @@ dominated by their own local content.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 from ._hash import fork_seed
-from ._io import atomic_write_text
+from ._io import read_jsonl, write_jsonl
 from .chunking import make_chunk_id
 from .errors import ConfigError, CorpusFormatError
 
@@ -393,71 +392,53 @@ def serialize_corpus(
     header: dict | None = None,
 ) -> None:
     """Write JSON Lines: one record per document, then a trailing query block."""
-    lines = []
-    if header is not None:
-        lines.append(json.dumps({"type": "run_config", **header}))
-    for doc in documents:
-        lines.append(json.dumps(_doc_record(doc)))
-    lines.append(json.dumps({"type": "queries", "queries": [_query_record(q) for q in queries]}))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    records = [_doc_record(doc) for doc in documents]
+    records.append({"type": "queries", "queries": [_query_record(q) for q in queries]})
+    write_jsonl(path, records, header)
+
+
+def _from_record(rec: dict) -> Document | list[QuerySpec]:
+    kind = rec.get("type")
+    if kind == "document":
+        return Document(
+            doc_id=rec["doc_id"],
+            typology=rec["typology"],
+            title=list(rec["title"]),
+            sections=[
+                Section(
+                    heading_path=list(s["heading_path"]),
+                    body=list(s["body"]),
+                    facts=[
+                        Fact(
+                            fact_id=f["fact_id"],
+                            key_phrase=list(f["key_phrase"]),
+                            statement=list(f["statement"]),
+                            home_section=int(f["home_section"]),
+                        )
+                        for f in s["facts"]
+                    ],
+                )
+                for s in rec["sections"]
+            ],
+        )
+    if kind == "queries":
+        return [
+            QuerySpec(
+                query_id=q["query_id"],
+                intent=q["intent"],
+                text=list(q["text"]),
+                gold_chunk_ids=set(q["gold_chunk_ids"]),
+                gold_doc_id=q["gold_doc_id"],
+            )
+            for q in rec["queries"]
+        ]
+    raise ValueError(f"unknown record type {kind!r}")
 
 
 def deserialize_corpus(path: str | Path) -> tuple[list[Document], list[QuerySpec]]:
     """Read a corpus file back; raises CorpusFormatError with a line number."""
-    docs: list[Document] = []
-    queries: list[QuerySpec] | None = None
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: {exc.msg}") from exc
-            kind = rec.get("type")
-            if kind == "run_config":
-                continue
-            try:
-                if kind == "document":
-                    docs.append(
-                        Document(
-                            doc_id=rec["doc_id"],
-                            typology=rec["typology"],
-                            title=list(rec["title"]),
-                            sections=[
-                                Section(
-                                    heading_path=list(s["heading_path"]),
-                                    body=list(s["body"]),
-                                    facts=[
-                                        Fact(
-                                            fact_id=f["fact_id"],
-                                            key_phrase=list(f["key_phrase"]),
-                                            statement=list(f["statement"]),
-                                            home_section=int(f["home_section"]),
-                                        )
-                                        for f in s["facts"]
-                                    ],
-                                )
-                                for s in rec["sections"]
-                            ],
-                        )
-                    )
-                elif kind == "queries":
-                    queries = [
-                        QuerySpec(
-                            query_id=q["query_id"],
-                            intent=q["intent"],
-                            text=list(q["text"]),
-                            gold_chunk_ids=set(q["gold_chunk_ids"]),
-                            gold_doc_id=q["gold_doc_id"],
-                        )
-                        for q in rec["queries"]
-                    ]
-                else:
-                    raise CorpusFormatError(f"{path}: line {lineno}: unknown record type {kind!r}")
-            except (KeyError, TypeError) as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: malformed record ({exc})") from exc
-    if queries is None:
+    records = read_jsonl(path, _from_record)
+    query_blocks = [r for r in records if isinstance(r, list)]
+    if not query_blocks:
         raise CorpusFormatError(f"{path}: missing trailing query block")
-    return docs, queries
+    return [r for r in records if isinstance(r, Document)], query_blocks[-1]

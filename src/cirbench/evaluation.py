@@ -18,11 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ._io import atomic_write_text
+from ._io import atomic_write_text, encode_jsonl, read_jsonl
 from .chunking import Chunk, chunk_document, parse_chunk_id
 from .corpus import SPECIFIC, Document, QuerySpec
 from .embedding import EmbedderConfig, get_embedder
-from .errors import CorpusFormatError
 from .injection import InjectionStrategy, build_context, enrich
 from .retrieval import Hit, build_index, search
 
@@ -259,78 +258,61 @@ def report_csv(report: SweepReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_jsonl(report: SweepReport) -> str:
-    lines = [json.dumps({"type": "sweep", "config_digest": report.config_digest})]
-    for r in report.rows:
-        lines.append(
-            json.dumps(
-                {
-                    "type": "row",
-                    "strategy": r.strategy,
-                    "mean_cir": r.mean_cir,
-                    "ndcg10": r.ndcg_at_10,
-                    "recall5_specific": r.recall5_specific,
-                    "recall5_thematic": r.recall5_thematic,
-                    "homogenization": r.homogenization,
-                    "wrong_section_share": r.wrong_section_share,
-                }
-            )
+def report_jsonl(report: SweepReport, header: dict | None = None) -> str:
+    """The report as JSON Lines: a sweep record, one record per row, then the flags."""
+    rows = [
+        {
+            "type": "row",
+            "strategy": r.strategy,
+            "mean_cir": r.mean_cir,
+            "ndcg10": r.ndcg_at_10,
+            "recall5_specific": r.recall5_specific,
+            "recall5_thematic": r.recall5_thematic,
+            "homogenization": r.homogenization,
+            "wrong_section_share": r.wrong_section_share,
+        }
+        for r in report.rows
+    ]
+    flags = {
+        "type": "flags",
+        "inverted_u": report.flags.inverted_u,
+        "curve_cross_cir": report.flags.curve_cross_cir,
+    }
+    return encode_jsonl([{"type": "sweep", "config_digest": report.config_digest}, *rows, flags], header)
+
+
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
+def _from_record(rec: dict) -> str | MetricRow | SweepFlags:
+    kind = rec.get("type")
+    if kind == "sweep":
+        return str(rec["config_digest"])
+    if kind == "row":
+        return MetricRow(
+            strategy=rec["strategy"],
+            mean_cir=float(rec["mean_cir"]),
+            ndcg_at_10=float(rec["ndcg10"]),
+            recall5_specific=float(rec["recall5_specific"]),
+            recall5_thematic=float(rec["recall5_thematic"]),
+            homogenization=float(rec["homogenization"]),
+            wrong_section_share=_optional_float(rec["wrong_section_share"]),
         )
-    lines.append(
-        json.dumps(
-            {
-                "type": "flags",
-                "inverted_u": report.flags.inverted_u,
-                "curve_cross_cir": report.flags.curve_cross_cir,
-            }
-        )
-    )
-    return "\n".join(lines) + "\n"
+    if kind == "flags":
+        return SweepFlags(bool(rec["inverted_u"]), _optional_float(rec["curve_cross_cir"]))
+    raise ValueError(f"unknown record type {kind!r}")
 
 
 def parse_report_jsonl(path: str | Path) -> SweepReport:
-    digest = ""
-    rows: list[MetricRow] = []
-    flags = SweepFlags(False, None)
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: {exc.msg}") from exc
-            kind = rec.get("type")
-            try:
-                if kind == "sweep":
-                    digest = rec["config_digest"]
-                elif kind == "row":
-                    rows.append(
-                        MetricRow(
-                            strategy=rec["strategy"],
-                            mean_cir=float(rec["mean_cir"]),
-                            ndcg_at_10=float(rec["ndcg10"]),
-                            recall5_specific=float(rec["recall5_specific"]),
-                            recall5_thematic=float(rec["recall5_thematic"]),
-                            homogenization=float(rec["homogenization"]),
-                            wrong_section_share=(
-                                None if rec["wrong_section_share"] is None else float(rec["wrong_section_share"])
-                            ),
-                        )
-                    )
-                elif kind == "flags":
-                    flags = SweepFlags(
-                        bool(rec["inverted_u"]),
-                        None if rec["curve_cross_cir"] is None else float(rec["curve_cross_cir"]),
-                    )
-                elif kind == "run_config":
-                    continue
-                else:
-                    raise CorpusFormatError(f"{path}: line {lineno}: unknown record type {kind!r}")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: malformed record ({exc})") from exc
-    return SweepReport(config_digest=digest, rows=rows, flags=flags)
+    records = read_jsonl(path, _from_record)
+    digests = [r for r in records if isinstance(r, str)]
+    flags = [r for r in records if isinstance(r, SweepFlags)]
+    return SweepReport(
+        config_digest=digests[-1] if digests else "",
+        rows=[r for r in records if isinstance(r, MetricRow)],
+        flags=flags[-1] if flags else SweepFlags(False, None),
+    )
 
 
 def emit_report(report: SweepReport, fmt: str, out_dir: str | Path) -> list[Path]:

@@ -9,16 +9,15 @@ summary second, with no padding and no metadata.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import cycle, islice
 from pathlib import Path
 from typing import Iterable
 
-from ._io import atomic_write_text
+from ._io import read_jsonl, write_jsonl
 from .chunking import Chunk, parse_chunk_id
 from .corpus import Document
-from .errors import ConfigError, CorpusFormatError
+from .errors import ConfigError
 
 STRATEGY_KINDS = ("baseline", "low", "medium", "high", "overload", "ddai")
 
@@ -189,49 +188,24 @@ def write_enriched(
     header: dict | None = None,
 ) -> None:
     """Dump enriched chunks as JSON Lines: chunk_id, strategy, cir, tokens."""
-    lines = []
-    if header is not None:
-        lines.append(json.dumps({"type": "run_config", **header}))
-    for e in enriched:
-        lines.append(
-            json.dumps(
-                {
-                    "chunk_id": e.base.chunk_id,
-                    "strategy": strategy_kind,
-                    "cir": e.cir,
-                    "tokens": e.tokens,
-                }
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    records = (
+        {"chunk_id": e.base.chunk_id, "strategy": strategy_kind, "cir": e.cir, "tokens": e.tokens} for e in enriched
+    )
+    write_jsonl(path, records, header)
+
+
+def _enriched_from_record(rec: dict) -> dict:
+    doc_id, section_index, _ = parse_chunk_id(rec["chunk_id"])
+    return {
+        "chunk_id": rec["chunk_id"],
+        "doc_id": doc_id,
+        "section_index": section_index,
+        "strategy": rec["strategy"],
+        "cir": float(rec["cir"]),
+        "tokens": list(rec["tokens"]),
+    }
 
 
 def read_enriched(path: str | Path) -> list[dict]:
     """Read an enriched dump; returns raw records with parsed chunk ids."""
-    records: list[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: {exc.msg}") from exc
-            if rec.get("type") == "run_config":
-                continue
-            try:
-                doc_id, section_index, _ = parse_chunk_id(rec["chunk_id"])
-                records.append(
-                    {
-                        "chunk_id": rec["chunk_id"],
-                        "doc_id": doc_id,
-                        "section_index": section_index,
-                        "strategy": rec["strategy"],
-                        "cir": float(rec["cir"]),
-                        "tokens": list(rec["tokens"]),
-                    }
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: bad enriched record ({exc})") from exc
-    return records
+    return read_jsonl(path, _enriched_from_record)

@@ -5,10 +5,10 @@ product of the stored 32-bit vectors (exactly widened) against the query,
 ties broken by ascending chunk id, so equal index plus equal query always
 yields the same ranking.
 
-File format (all integers little-endian): magic ``CIRX``, version u16,
-dim u32, count u64; per entry a u16-length-prefixed UTF-8 chunk id, a
-u16-length-prefixed UTF-8 doc id and a u32 section index; then the packed
-float32 vectors in entry order.
+File format (all integers little-endian): magic ``CIRX``, version u16
+(2), dim u32, count u64, the embedder's hash seed u64; per entry a
+u16-length-prefixed UTF-8 chunk id, a u16-length-prefixed UTF-8 doc id
+and a u32 section index; then the packed float32 vectors in entry order.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from ._io import atomic_write_bytes
 from .errors import IndexFormatError, IndexValidationError
 
 MAGIC = b"CIRX"
-VERSION = 1
+VERSION = 2
+_HEADER = struct.Struct("<HIQQ")  # version, dim, count, hash_seed
 _UNIT_TOL = 1e-4
 
 
@@ -37,55 +38,68 @@ class Hit(NamedTuple):
 
 @dataclass
 class VectorIndex:
+    """Unit vectors under unique chunk ids, plus the embedder seed that made them.
+
+    Construction checks the index contract (one doc id, section and
+    ``dim``-wide unit-norm row per unique chunk id; a u64 ``hash_seed``), so
+    built and loaded indexes pass the same checks.
+    """
+
     dim: int
     chunk_ids: list[str]
     doc_ids: list[str]
     section_indexes: list[int]
     vectors: np.ndarray  # (count, dim) float32, little-endian, C-order
+    hash_seed: int | None = None  # the embedder's; required by save_index
     _matrix64: np.ndarray = field(init=False, repr=False)
     _id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        n = len(self.chunk_ids)
+        if len(self.doc_ids) != n or len(self.section_indexes) != n or self.vectors.shape != (n, self.dim):
+            raise IndexValidationError(
+                f"shape mismatch: {n} chunk ids, {len(self.doc_ids)} doc ids, {len(self.section_indexes)} sections"
+                f" and vectors of shape {self.vectors.shape} for dim {self.dim}"
+            )
+        if self.hash_seed is not None and not 0 <= self.hash_seed < 1 << 64:
+            raise IndexValidationError(f"hash_seed {self.hash_seed} does not fit in a u64")
+        ids = self.chunk_ids
+        order = sorted(range(n), key=ids.__getitem__)
+        if len(set(ids)) != n:
+            dupe = next(ids[a] for a, b in zip(order, order[1:]) if ids[a] == ids[b])
+            raise IndexValidationError(f"duplicate chunk_id {dupe!r}")
         self._matrix64 = self.vectors.astype(np.float64)
-        order = sorted(range(len(self.chunk_ids)), key=self.chunk_ids.__getitem__)
-        rank = np.empty(len(order), dtype=np.int64)
-        for pos, idx in enumerate(order):
-            rank[idx] = pos
-        self._id_rank = rank
+        norms = np.sqrt(np.einsum("ij,ij->i", self._matrix64, self._matrix64))
+        bad = np.flatnonzero(np.abs(norms - 1.0) > _UNIT_TOL)
+        if bad.size:
+            first = int(bad[0])
+            raise IndexValidationError(f"non-unit vector at {ids[first]!r} (norm {norms[first]:.6f})")
+        self._id_rank = np.empty(n, dtype=np.int64)
+        self._id_rank[order] = np.arange(n)
 
     @property
     def count(self) -> int:
         return len(self.chunk_ids)
 
 
-def build_index(entries: Iterable[tuple[str, str, int, np.ndarray]]) -> VectorIndex:
-    """Validate entries (uniform dim, unit norm, unique ids) and build the index."""
+def build_index(
+    entries: Iterable[tuple[str, str, int, np.ndarray]], hash_seed: int | None = None
+) -> VectorIndex:
+    """Stack (chunk_id, doc_id, section_index, vector) entries into a validated index."""
     entries = list(entries)
     if not entries:
-        return VectorIndex(0, [], [], [], np.zeros((0, 0), dtype="<f4"))
-    chunk_ids = [e[0] for e in entries]
-    seen: set[str] = set()
-    for cid in chunk_ids:
-        if cid in seen:
-            raise IndexValidationError(f"duplicate chunk_id {cid!r}")
-        seen.add(cid)
+        return VectorIndex(0, [], [], [], np.zeros((0, 0), dtype="<f4"), hash_seed)
     dim = len(entries[0][3])
-    vectors = np.empty((len(entries), dim), dtype="<f4")
-    for i, (cid, _, _, vec) in enumerate(entries):
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (dim,):
-            raise IndexValidationError(f"dimension mismatch at {cid!r}: {vec.shape} != ({dim},)")
-        vectors[i] = vec
-    norms = np.linalg.norm(vectors.astype(np.float64), axis=1)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > _UNIT_TOL)
-    if bad.size:
-        raise IndexValidationError(f"non-unit vector at {chunk_ids[int(bad[0])]!r} (norm {norms[int(bad[0])]:.6f})")
+    for cid, _, _, vec in entries:
+        if np.shape(vec) != (dim,):
+            raise IndexValidationError(f"dimension mismatch at {cid!r}: {np.shape(vec)} != ({dim},)")
     return VectorIndex(
         dim=dim,
-        chunk_ids=chunk_ids,
+        chunk_ids=[e[0] for e in entries],
         doc_ids=[e[1] for e in entries],
         section_indexes=[int(e[2]) for e in entries],
-        vectors=np.ascontiguousarray(vectors),
+        vectors=np.array([e[3] for e in entries], dtype="<f4"),
+        hash_seed=hash_seed,
     )
 
 
@@ -107,8 +121,14 @@ def search(index: VectorIndex, query: np.ndarray, k: int) -> list[Hit]:
 
 
 def save_index(index: VectorIndex, path: str | Path) -> None:
-    """Write the binary index; the vector payload round-trips bit-exactly."""
-    parts = [MAGIC, struct.pack("<HIQ", VERSION, index.dim, index.count)]
+    """Write the binary index; the vector payload round-trips bit-exactly.
+
+    An index without a ``hash_seed`` is refused: a reader could not embed
+    queries that match its vectors.
+    """
+    if index.hash_seed is None:
+        raise IndexValidationError("cannot save an index without the embedder's hash_seed")
+    parts = [MAGIC, _HEADER.pack(VERSION, index.dim, index.count, index.hash_seed)]
     for cid, did, sec in zip(index.chunk_ids, index.doc_ids, index.section_indexes):
         cid_b = cid.encode("utf-8")
         did_b = did.encode("utf-8")
@@ -122,15 +142,21 @@ def save_index(index: VectorIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> VectorIndex:
+    """Read and validate a CIRX v2 file; any defect raises IndexFormatError."""
     data = Path(path).read_bytes()
-    if len(data) < 4 + struct.calcsize("<HIQ"):
+    if len(data) < 6:
         raise IndexFormatError(f"{path}: truncated header")
     if data[:4] != MAGIC:
         raise IndexFormatError(f"{path}: bad magic {data[:4]!r}")
-    version, dim, count = struct.unpack_from("<HIQ", data, 4)
+    (version,) = struct.unpack_from("<H", data, 4)
+    if version == 1:
+        raise IndexFormatError(f"{path}: CIRX version 1 records no hash seed; re-run `cirbench embed`")
     if version != VERSION:
         raise IndexFormatError(f"{path}: unsupported version {version}")
-    offset = 4 + struct.calcsize("<HIQ")
+    if len(data) < 4 + _HEADER.size:
+        raise IndexFormatError(f"{path}: truncated header")
+    _, dim, count, hash_seed = _HEADER.unpack_from(data, 4)
+    offset = 4 + _HEADER.size
     chunk_ids: list[str] = []
     doc_ids: list[str] = []
     sections: list[int] = []
@@ -157,4 +183,7 @@ def load_index(path: str | Path) -> VectorIndex:
         vectors = vectors.reshape(count, dim).copy()
     else:
         vectors = np.zeros((0, dim), dtype="<f4")
-    return VectorIndex(dim, chunk_ids, doc_ids, sections, vectors)
+    try:
+        return VectorIndex(dim, chunk_ids, doc_ids, sections, vectors, hash_seed)
+    except IndexValidationError as exc:
+        raise IndexFormatError(f"{path}: {exc}") from exc

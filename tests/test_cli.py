@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from cirbench import (
@@ -16,8 +17,10 @@ from cirbench import (
     strategy,
 )
 from cirbench._hash import fork_seed
-from cirbench.cli import EXIT_FORMAT, EXIT_MISSING, EXIT_OK, main
+from cirbench.cli import EXIT_FORMAT, EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
 from cirbench.corpus import SPECIFIC
+from cirbench.errors import IndexFormatError
+from cirbench.retrieval import save_index
 
 SMALL = ["--docs", "6", "--queries", "24", "--seed", "11"]
 
@@ -43,7 +46,6 @@ def test_pipeline_stages_compose(tmp_path, capsys):
     chunks = tmp_path / "chunks.jsonl"
     enriched = tmp_path / "enriched.jsonl"
     vectors = tmp_path / "vectors.cirx"
-    index_path = tmp_path / "index.cirx"
 
     assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
     assert main(["chunk", "--corpus", str(corpus), "--out", str(chunks)]) == EXIT_OK
@@ -54,8 +56,6 @@ def test_pipeline_stages_compose(tmp_path, capsys):
     assert main(
         ["embed", "--enriched", str(enriched), "--dim", "256", "--hash-seed", str(hash_seed), "--out", str(vectors)]
     ) == EXIT_OK
-    assert main(["index", "--vectors", str(vectors), "--out", str(index_path)]) == EXIT_OK
-    assert vectors.read_bytes() == index_path.read_bytes()
 
     # In-memory reference pipeline with the same resolved configuration.
     cfg = CorpusConfig(
@@ -78,16 +78,58 @@ def test_pipeline_stages_compose(tmp_path, capsys):
     qvec = embedder.embed(query.text)
     expected = search(index_mem, qvec, 10)
 
-    index_disk = load_index(index_path)
+    index_disk = load_index(vectors)
     assert search(index_disk, qvec, 10) == expected
 
     capsys.readouterr()
-    assert main(["query", "--index", str(index_path), "--text", " ".join(query.text), "--k", "10", "--hash-seed", str(hash_seed)]) == EXIT_OK
+    assert main(["query", "--index", str(vectors), "--text", " ".join(query.text), "--k", "10", "--hash-seed", str(hash_seed)]) == EXIT_OK
     out_lines = capsys.readouterr().out.strip().split("\n")
     assert len(out_lines) == 10
     top = out_lines[0].split("\t")
     assert top[1] == expected[0].chunk_id
     assert float(top[4]) == pytest.approx(expected[0].score, abs=1e-6)
+
+
+def test_query_takes_hash_seed_from_index(tmp_path, capsys):
+    corpus, chunks, enriched, vectors = (
+        tmp_path / name for name in ("corpus.jsonl", "chunks.jsonl", "enriched.jsonl", "vectors.cirx")
+    )
+    assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
+    assert main(["chunk", "--corpus", str(corpus), "--out", str(chunks)]) == EXIT_OK
+    assert main(
+        ["inject", "--corpus", str(corpus), "--chunks", str(chunks), "--strategy", "ddai", "--out", str(enriched)]
+    ) == EXIT_OK
+    assert main(["embed", "--enriched", str(enriched), "--out", str(vectors)]) == EXIT_OK
+    embed_seed = fork_seed(42, "embed") % (1 << 62)  # embed's default: forked from the default --seed
+    query = ["query", "--index", str(vectors), "--text", "zq0012ab xj0012ab vk0012ab", "--k", "10"]
+
+    capsys.readouterr()
+    assert main([*query, "--hash-seed", str(embed_seed)]) == EXIT_OK
+    with_seed = capsys.readouterr().out
+    assert main(query) == EXIT_OK
+    assert capsys.readouterr().out == with_seed
+    assert len(with_seed.strip().split("\n")) == 10
+
+    assert main([*query, "--hash-seed", str(embed_seed + 1)]) == EXIT_USAGE
+    assert "disagrees" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defect", ["duplicate", "non-unit"])
+def test_invalid_index_is_format_error(tmp_path, capsys, defect):
+    rng = np.random.default_rng(3)
+    vecs = [v / np.linalg.norm(v) for v in rng.standard_normal((2, 8))]
+    path = tmp_path / "vectors.cirx"
+    save_index(build_index([("a:s000:t00000", "a", 0, vecs[0]), ("b:s000:t00000", "b", 0, vecs[1])], 5), path)
+    data = path.read_bytes()
+    if defect == "duplicate":
+        data = data.replace(b"b:s000:t00000", b"a:s000:t00000")
+    else:
+        data = data[: -8 * 4] + (3 * vecs[1]).astype("<f4").tobytes()
+    path.write_bytes(data)
+    with pytest.raises(IndexFormatError, match=defect):
+        load_index(path)
+    assert main(["query", "--index", str(path), "--text", "a b c"]) == EXIT_FORMAT
+    assert defect in capsys.readouterr().err
 
 
 def test_report_formats_from_sweep(tmp_path):
@@ -123,9 +165,13 @@ def test_format_error_exit_code(tmp_path, capsys):
 
 
 def test_invalid_flag_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        main(["inject", "--strategy", "maximal", "--corpus", "x", "--chunks", "y", "--out", "z"])
-    assert exc.value.code == 2
+    for argv in (
+        ["inject", "--strategy", "maximal", "--corpus", "x", "--chunks", "y", "--out", "z"],
+        ["query", "--index", "x", "--text", "y", "--k", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_config_file_with_flag_override(tmp_path):

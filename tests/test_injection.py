@@ -18,6 +18,7 @@ from cirbench import (
 from cirbench.chunking import Chunk
 from cirbench.corpus import Document, Section
 from cirbench.errors import ConfigError
+from cirbench.injection import read_enriched, write_enriched
 
 
 def _doc_and_chunk(n_tokens: int, heading_path: list[str]) -> tuple[Document, Chunk]:
@@ -157,6 +158,25 @@ def test_enrich_with_empty_context():
     e = enrich(chunk, ContextBlock([], [], []))
     assert e.tokens == chunk.tokens
     assert e.cir == 0.0
+
+
+def test_enriched_dump_round_trip(tmp_path, small_corpus):
+    docs, _ = small_corpus
+    strat = strategy("ddai")
+    enriched = [enrich(c, build_context(docs[0], c, strat)) for c in chunk_document(docs[0], 250)]
+    path = tmp_path / "enriched.jsonl"
+    write_enriched(enriched, strat.kind, path, header={"seed": 7})
+    assert read_enriched(path) == [
+        {
+            "chunk_id": e.base.chunk_id,
+            "doc_id": e.base.doc_id,
+            "section_index": e.base.section_index,
+            "strategy": "ddai",
+            "cir": e.cir,
+            "tokens": e.tokens,
+        }
+        for e in enriched
+    ]
 
 
 def test_strategy_mean_cir_monotone(small_config, small_corpus):

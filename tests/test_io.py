@@ -1,0 +1,84 @@
+from __future__ import annotations
+
+import os
+import stat
+
+import pytest
+
+from cirbench import build_context, chunk_document, enrich, serialize_corpus, strategy
+from cirbench._io import atomic_write_bytes
+from cirbench.chunking import read_chunks, write_chunks
+from cirbench.corpus import deserialize_corpus
+from cirbench.errors import CorpusFormatError
+from cirbench.evaluation import MetricRow, SweepReport, emit_report, parse_report_jsonl, sweep_flags
+from cirbench.injection import read_enriched, write_enriched
+
+KINDS = ["corpus", "chunks", "enriched", "report"]
+
+
+def _write(kind: str, path, small_corpus) -> None:
+    docs, queries = small_corpus
+    chunks = [c for d in docs[:2] for c in chunk_document(d, 250)]
+    header = {"seed": 7}
+    if kind == "corpus":
+        serialize_corpus(docs, queries, path, header=header)
+    elif kind == "chunks":
+        write_chunks(chunks, path, header=header)
+    elif kind == "enriched":
+        strat = strategy("medium")
+        doc_by_id = {d.doc_id: d for d in docs}
+        enriched = [enrich(c, build_context(doc_by_id[c.doc_id], c, strat)) for c in chunks]
+        write_enriched(enriched, strat.kind, path, header=header)
+    else:
+        rows = [MetricRow("baseline", 0.0, 0.5, 0.8, 0.4, 0.1, None), MetricRow("high", 0.6, 0.4, 0.3, 0.9, 0.7, 0.5)]
+        (written,) = emit_report(SweepReport("cafe01234567", rows, sweep_flags(rows)), "jsonl", path.parent)
+        os.replace(written, path)
+
+
+_READERS = {
+    "corpus": deserialize_corpus,
+    "chunks": read_chunks,
+    "enriched": read_enriched,
+    "report": parse_report_jsonl,
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_truncated_file_raises_with_line_number(tmp_path, small_corpus, kind):
+    path = tmp_path / f"{kind}.jsonl"
+    _write(kind, path, small_corpus)
+    data = path.read_bytes()
+    broken = tmp_path / "broken.jsonl"
+    broken.write_bytes(data[: len(data) // 2])
+    with pytest.raises(CorpusFormatError, match=r"line \d+|query block"):
+        _READERS[kind](broken)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bad_line", ["{}", "[1, 2]"])
+def test_bad_record_raises_with_line_number(tmp_path, small_corpus, kind, bad_line):
+    path = tmp_path / f"{kind}.jsonl"
+    _write(kind, path, small_corpus)
+    lines = path.read_text().splitlines()
+    lines.insert(2, bad_line)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusFormatError, match=f"{path}: line 3: "):
+        _READERS[kind](path)
+
+
+def test_atomic_write_ignores_stale_tmp_directory(tmp_path):
+    path = tmp_path / "vectors.cirx"
+    (tmp_path / "vectors.cirx.tmp").mkdir()
+    atomic_write_bytes(path, b"payload")
+    assert path.read_bytes() == b"payload"
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+
+def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        atomic_write_bytes(target, b"payload")
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]

@@ -131,10 +131,11 @@ def test_insertion_order_irrelevant():
 def test_save_load_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(10)
     entries = _entries(rng, 1000, 64)
-    index = build_index(entries)
+    index = build_index(entries, hash_seed=(1 << 64) - 1)
     path = tmp_path / "vectors.cirx"
     save_index(index, path)
     loaded = load_index(path)
+    assert loaded.hash_seed == index.hash_seed
     assert loaded.chunk_ids == index.chunk_ids
     assert loaded.doc_ids == index.doc_ids
     assert loaded.section_indexes == index.section_indexes
@@ -148,7 +149,7 @@ def test_save_load_round_trip_bit_exact(tmp_path):
 
 def test_empty_index_round_trip(tmp_path):
     path = tmp_path / "empty.cirx"
-    save_index(build_index([]), path)
+    save_index(build_index([], hash_seed=0), path)
     loaded = load_index(path)
     assert loaded.count == 0
 
@@ -156,7 +157,7 @@ def test_empty_index_round_trip(tmp_path):
 def test_corrupted_magic(tmp_path):
     rng = np.random.default_rng(11)
     path = tmp_path / "vectors.cirx"
-    save_index(build_index(_entries(rng, 5, 8)), path)
+    save_index(build_index(_entries(rng, 5, 8), hash_seed=1), path)
     data = bytearray(path.read_bytes())
     data[:4] = b"NOPE"
     bad = tmp_path / "bad.cirx"
@@ -168,7 +169,7 @@ def test_corrupted_magic(tmp_path):
 def test_truncated_file(tmp_path):
     rng = np.random.default_rng(12)
     path = tmp_path / "vectors.cirx"
-    save_index(build_index(_entries(rng, 20, 16)), path)
+    save_index(build_index(_entries(rng, 20, 16), hash_seed=1), path)
     data = path.read_bytes()
     for cut in (3, len(data) // 3, len(data) - 5):
         bad = tmp_path / f"cut{cut}.cirx"
@@ -180,8 +181,25 @@ def test_truncated_file(tmp_path):
 def test_trailing_garbage(tmp_path):
     rng = np.random.default_rng(13)
     path = tmp_path / "vectors.cirx"
-    save_index(build_index(_entries(rng, 5, 8)), path)
+    save_index(build_index(_entries(rng, 5, 8), hash_seed=1), path)
     bad = tmp_path / "long.cirx"
     bad.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(IndexFormatError, match="bytes"):
         load_index(bad)
+
+
+def test_save_requires_hash_seed(tmp_path):
+    rng = np.random.default_rng(15)
+    with pytest.raises(IndexValidationError, match="hash_seed"):
+        save_index(build_index(_entries(rng, 5, 8)), tmp_path / "vectors.cirx")
+
+
+def test_version_1_file_rejected(tmp_path):
+    rng = np.random.default_rng(16)
+    path = tmp_path / "vectors.cirx"
+    save_index(build_index(_entries(rng, 5, 8), hash_seed=1), path)
+    data = bytearray(path.read_bytes())
+    data[4:6] = (1).to_bytes(2, "little")
+    path.write_bytes(bytes(data))
+    with pytest.raises(IndexFormatError, match="re-run `cirbench embed`"):
+        load_index(path)
