@@ -8,6 +8,9 @@ ratio, thematic recall overtakes specific recall past it, and intra-document
 vectors homogenize.
 """
 
+# Set before the submodule imports: the sweep digest reads it.
+__version__ = "0.1.0"
+
 from .chunking import Chunk, chunk_document, make_chunk_id, parse_chunk_id, tokenize
 from .corpus import (
     CorpusConfig,
@@ -56,8 +59,6 @@ from .injection import (
     strategy,
 )
 from .retrieval import Hit, VectorIndex, build_index, load_index, save_index, search
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Chunk",

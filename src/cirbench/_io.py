@@ -91,3 +91,16 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(f"{path}: line {lineno}: bad record ({type(exc).__name__}: {exc})") from exc
     return out
+
+
+def read_run_config(path: str | Path) -> dict:
+    """The ``run_config`` record leading a JSONL file, without its type; {} when there is none."""
+    with open(path, "r", encoding="utf-8") as handle:
+        line = next((line for line in handle if line.strip()), "")
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError:
+        return {}  # no header; read_jsonl reports bad JSON with its line number
+    if not isinstance(rec, dict) or rec.get("type") != "run_config":
+        return {}
+    return {key: value for key, value in rec.items() if key != "type"}

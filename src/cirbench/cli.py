@@ -3,7 +3,9 @@
 Each stage reads and writes the documented on-disk formats, so the sweep
 can be reproduced by chaining the individual commands. All randomness
 flows from one top-level seed, forked deterministically per stage; every
-JSONL/CSV output carries the resolved configuration for provenance.
+JSONL/CSV output carries the resolved configuration for provenance, and
+``chunk``, ``inject`` and ``embed`` take their defaults from their input
+file's, so a chain keeps the corpus's seed.
 
 Exit codes: 0 success, 2 invalid flags, 3 missing input file,
 4 format/parse error, 1 any other failure.
@@ -17,7 +19,7 @@ import sys
 from pathlib import Path
 
 from ._hash import fork_seed
-from ._io import atomic_write_text
+from ._io import atomic_write_text, read_run_config
 from .chunking import chunk_document, read_chunks, tokenize, write_chunks
 from .corpus import (
     CorpusConfig,
@@ -72,9 +74,22 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file, and explicit flags (flags win)."""
+def _inherit(resolved: dict, path: str) -> None:
+    """Layer the ``run_config`` header of the input file *path* over *resolved*."""
+    for key, value in read_run_config(path).items():
+        if key not in _FIELDS:
+            raise FormatError(f"{path}: run_config: unknown key {key!r}")
+        kind = _FIELDS[key][0]
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise FormatError(f"{path}: run_config: {key} must be {kind.__name__}, got {value!r}")
+        resolved[key] = kind(value)
+
+
+def _resolve(args: argparse.Namespace, inherit_from: str | None = None) -> dict:
+    """Merge defaults, the input file's run_config, config file, and explicit flags (flags win)."""
     resolved = {name: default for name, (_, default, _) in _FIELDS.items()}
+    if inherit_from is not None:
+        _inherit(resolved, inherit_from)
     if getattr(args, "config", None):
         for key, raw in _load_config_file(args.config).items():
             if key not in _FIELDS:
@@ -133,7 +148,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_chunk(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
+    resolved = _resolve(args, args.corpus)
     docs, _ = deserialize_corpus(args.corpus)
     chunks = [c for doc in docs for c in chunk_document(doc, resolved["chunk_target"])]
     write_chunks(chunks, args.out, header=_provenance(resolved))
@@ -142,7 +157,7 @@ def cmd_chunk(args: argparse.Namespace) -> int:
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
+    resolved = _resolve(args, args.chunks)
     docs, _ = deserialize_corpus(args.corpus)
     doc_by_id = {d.doc_id: d for d in docs}
     chunks = read_chunks(args.chunks)
@@ -157,7 +172,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    resolved = _resolve(args)
+    resolved = _resolve(args, args.enriched)
     records = read_enriched(args.enriched)
     config = EmbedderConfig(dim=resolved["dim"], hash_seed=resolved["hash_seed"])
     embedder = get_embedder(config)

@@ -385,6 +385,11 @@ def _query_record(q: QuerySpec) -> dict:
     }
 
 
+def corpus_records(documents: Iterable[Document], queries: Iterable[QuerySpec]) -> list[dict]:
+    """The corpus file's records: one per document, then the query block."""
+    return [*map(_doc_record, documents), {"type": "queries", "queries": [_query_record(q) for q in queries]}]
+
+
 def serialize_corpus(
     documents: Iterable[Document],
     queries: Iterable[QuerySpec],
@@ -392,9 +397,7 @@ def serialize_corpus(
     header: dict | None = None,
 ) -> None:
     """Write JSON Lines: one record per document, then a trailing query block."""
-    records = [_doc_record(doc) for doc in documents]
-    records.append({"type": "queries", "queries": [_query_record(q) for q in queries]})
-    write_jsonl(path, records, header)
+    write_jsonl(path, corpus_records(documents, queries), header)
 
 
 def _from_record(rec: dict) -> Document | list[QuerySpec]:

@@ -6,8 +6,11 @@ vectors. Mean pooling makes the enrichment mixing model exact: prepending
 a context block of length ``L_I`` to a chunk of length ``L_c`` yields a
 pre-normalization vector that is the convex combination of the two
 component means with weight ``L_I / (L_I + L_c)`` on the context side.
+An ``Embedder`` holds one token table (a dict from token to row, plus
+``(rows, 4)`` arrays of component indices and signs) and pools a text by
+summing its tokens' rows with a single ``np.bincount``.
 
-Token hashing, bit-exact:
+Token hashing, bit-exact, once per distinct token:
 
 1. ``h0 = FNV-1a-64(utf-8 bytes of the token)``.
 2. Component indices come from a splitmix64 stream seeded with
@@ -20,6 +23,7 @@ Token hashing, bit-exact:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,57 +51,55 @@ class EmbedderConfig:
 
 
 class Embedder:
-    """Caches the token-to-vector map for one config; thread-safe reads."""
+    """The token table for one config; thread-safe reads, locked growth."""
 
     def __init__(self, config: EmbedderConfig):
         self.config = config
         self._seed_mix, _ = splitmix64(config.hash_seed & ((1 << 64) - 1))
-        self._cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._row: dict[str, int] = {}
+        self._idx, self._sign = np.zeros((0, NONZEROS_PER_TOKEN), np.int64), np.zeros((0, NONZEROS_PER_TOKEN))
+        self._lock = threading.Lock()
 
-    def _entry(self, token: str) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._cache.get(token)
-        if cached is not None:
-            return cached
-        base = fnv1a64(token.encode("utf-8"))
-        dim = self.config.dim
-        idx_state = base ^ self._seed_mix ^ _IDX_SALT
-        indices: list[int] = []
+    def _hash(self, token: str) -> tuple[list[int], list[float]]:
+        base = fnv1a64(token.encode("utf-8")) ^ self._seed_mix
+        indices, state = [], base ^ _IDX_SALT
         while len(indices) < NONZEROS_PER_TOKEN:
-            value, idx_state = splitmix64(idx_state)
-            idx = value % dim
-            if idx not in indices:
-                indices.append(idx)
-        sign_state = base ^ self._seed_mix ^ _SIGN_SALT
-        signs: list[float] = []
+            value, state = splitmix64(state)
+            if value % self.config.dim not in indices:
+                indices.append(value % self.config.dim)
+        signs, state = [], base ^ _SIGN_SALT
         for _ in range(NONZEROS_PER_TOKEN):
-            value, sign_state = splitmix64(sign_state)
+            value, state = splitmix64(state)
             signs.append(1.0 if value & 1 else -1.0)
-        entry = (np.array(indices, dtype=np.int64), np.array(signs, dtype=np.float64))
-        self._cache[token] = entry
-        return entry
+        return indices, signs
+
+    def _register(self, tokens: set[str]) -> None:
+        # np.resize copies and a token is registered after its row is written: readers see whole rows.
+        with self._lock:
+            new = [tok for tok in tokens if tok not in self._row]
+            start = len(self._row)
+            if start + len(new) > len(self._idx):
+                shape = (max(start + len(new), 2 * len(self._idx)), NONZEROS_PER_TOKEN)
+                self._idx, self._sign = np.resize(self._idx, shape), np.resize(self._sign, shape)
+            for r, tok in enumerate(new, start):
+                self._idx[r], self._sign[r] = self._hash(tok)
+                self._row[tok] = r
 
     def token_vector(self, token: str) -> np.ndarray:
         """Raw (unnormalized) token vector: four signed unit components."""
         if not token:
             raise EmbeddingError("cannot hash an empty token")
-        idx, signs = self._entry(token)
-        v = np.zeros(self.config.dim, dtype=np.float64)
-        v[idx] = signs
-        return v
+        return self.mean_vector([token])
 
     def mean_vector(self, tokens: list[str]) -> np.ndarray:
         """Pre-normalization mean of the token vectors."""
         if not tokens:
             raise EmbeddingError("cannot embed an empty token sequence")
-        acc = np.zeros(self.config.dim, dtype=np.float64)
-        counts: dict[str, int] = {}
-        for tok in tokens:
-            counts[tok] = counts.get(tok, 0) + 1
-        for tok, count in counts.items():
-            idx, signs = self._entry(tok)
-            acc[idx] += count * signs
-        acc /= len(tokens)
-        return acc
+        if new := set(tokens).difference(self._row):
+            self._register(new)
+        rows = np.fromiter(map(self._row.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+        # Every component sum is an integer, so it is exact in any order.
+        return np.bincount(self._idx[rows].ravel(), self._sign[rows].ravel(), minlength=self.config.dim) / len(tokens)
 
     def embed(self, tokens: list[str]) -> np.ndarray:
         """L2-normalized mean of the token vectors; order-insensitive."""
@@ -108,10 +110,7 @@ class Embedder:
         return acc / norm
 
     def embed_many(self, token_lists: list[list[str]]) -> np.ndarray:
-        out = np.empty((len(token_lists), self.config.dim), dtype=np.float64)
-        for i, tokens in enumerate(token_lists):
-            out[i] = self.embed(tokens)
-        return out
+        return np.array([self.embed(tokens) for tokens in token_lists]).reshape(-1, self.config.dim)
 
 
 _EMBEDDERS: dict[EmbedderConfig, Embedder] = {}
@@ -198,7 +197,8 @@ def effective_lambda(enriched: EnrichedChunk, config: EmbedderConfig) -> float:
 
     Solved by projecting the full-sequence mean onto the line between the
     chunk mean and the context mean; under mean pooling this equals the
-    chunk's context injection ratio to within float error.
+    chunk's context injection ratio to within float error. Raises
+    DegenerateMixError when the two means coincide: no weight is measured.
     """
     if enriched.context.length == 0:
         return 0.0
@@ -209,6 +209,5 @@ def effective_lambda(enriched: EnrichedChunk, config: EmbedderConfig) -> float:
     d = a - b
     den = float(d @ d)
     if den < 1e-18:
-        # Context and chunk share one mean direction; any weight reproduces v.
-        return enriched.cir
+        raise DegenerateMixError("context mean equals chunk mean; the mixing weight is not measurable")
     return float((v - b) @ d / den)

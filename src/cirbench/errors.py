@@ -30,4 +30,4 @@ class EmbeddingError(CirbenchError, ValueError):
 
 
 class DegenerateMixError(EmbeddingError):
-    """A convex vector combination collapsed to (numerically) zero."""
+    """A vector mix is degenerate: it collapsed to (numerically) zero, or its two ends coincide."""

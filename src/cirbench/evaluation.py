@@ -12,15 +12,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from . import __version__
 from ._io import atomic_write_text, encode_jsonl, read_jsonl
 from .chunking import Chunk, chunk_document, parse_chunk_id
-from .corpus import SPECIFIC, Document, QuerySpec
+from .corpus import SPECIFIC, Document, QuerySpec, corpus_records
 from .embedding import EmbedderConfig, get_embedder
 from .injection import InjectionStrategy, build_context, enrich
 from .retrieval import Hit, build_index, search
@@ -134,15 +135,20 @@ def sweep_flags(rows: Sequence[MetricRow]) -> SweepFlags:
     return SweepFlags(inverted, cross)
 
 
-def _config_digest(embed_config: EmbedderConfig, chunk_target: int, strategies, n_docs: int, n_queries: int) -> str:
+def _config_digest(
+    documents, queries, strategies, embed_config: EmbedderConfig, chunk_target: int, k_values, search_depth: int
+) -> str:
+    """Digest of every input to run_sweep that can change a row, and the package version."""
     payload = json.dumps(
         {
+            "version": __version__,
+            "corpus": corpus_records(documents, queries),
             "dim": embed_config.dim,
             "hash_seed": embed_config.hash_seed,
             "chunk_target": chunk_target,
-            "strategies": [[s.kind, s.t_max] for s in strategies],
-            "documents": n_docs,
-            "queries": n_queries,
+            "strategies": [astuple(s) for s in strategies],
+            "k_values": list(k_values),
+            "search_depth": search_depth,
         },
         sort_keys=True,
     )
@@ -231,7 +237,7 @@ def run_sweep(
         for strat in strategies
     ]
     rows.sort(key=lambda r: r.mean_cir)
-    digest = _config_digest(embed_config, chunk_target, strategies, len(documents), len(queries))
+    digest = _config_digest(documents, queries, strategies, embed_config, chunk_target, k_values, search_depth)
     return SweepReport(config_digest=digest, rows=rows, flags=sweep_flags(rows))
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -100,7 +102,7 @@ def test_query_takes_hash_seed_from_index(tmp_path, capsys):
         ["inject", "--corpus", str(corpus), "--chunks", str(chunks), "--strategy", "ddai", "--out", str(enriched)]
     ) == EXIT_OK
     assert main(["embed", "--enriched", str(enriched), "--out", str(vectors)]) == EXIT_OK
-    embed_seed = fork_seed(42, "embed") % (1 << 62)  # embed's default: forked from the default --seed
+    embed_seed = fork_seed(11, "embed") % (1 << 62)  # embed's default: forked from the corpus's --seed
     query = ["query", "--index", str(vectors), "--text", "zq0012ab xj0012ab vk0012ab", "--k", "10"]
 
     capsys.readouterr()
@@ -112,6 +114,38 @@ def test_query_takes_hash_seed_from_index(tmp_path, capsys):
 
     assert main([*query, "--hash-seed", str(embed_seed + 1)]) == EXIT_USAGE
     assert "disagrees" in capsys.readouterr().err
+
+
+def test_chain_takes_config_from_input_run_config(tmp_path):
+    corpus, chunks, enriched, vectors = (
+        tmp_path / name for name in ("corpus.jsonl", "chunks.jsonl", "enriched.jsonl", "vectors.cirx")
+    )
+    assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
+    assert main(["chunk", "--corpus", str(corpus), "--out", str(chunks)]) == EXIT_OK
+    assert main(
+        ["inject", "--corpus", str(corpus), "--chunks", str(chunks), "--strategy", "low", "--out", str(enriched)]
+    ) == EXIT_OK
+    assert main(["embed", "--enriched", str(enriched), "--out", str(vectors)]) == EXIT_OK
+    for path in (chunks, enriched):
+        header = json.loads(path.read_text().split("\n", 1)[0])
+        assert (header["seed"], header["docs"], header["queries"]) == (11, 6, 24)
+    assert load_index(vectors).hash_seed == fork_seed(11, "embed") % (1 << 62)
+
+    # A flag still wins over the inherited value.
+    assert main(["embed", "--enriched", str(enriched), "--hash-seed", "5", "--out", str(vectors)]) == EXIT_OK
+    assert load_index(vectors).hash_seed == 5
+
+
+@pytest.mark.parametrize(("key", "value"), [("seed", "11"), ("dim", 256.0), ("t_max", True), ("colour", 1)])
+def test_bad_run_config_value_is_format_error(tmp_path, capsys, key, value):
+    corpus, chunks = tmp_path / "corpus.jsonl", tmp_path / "chunks.jsonl"
+    assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
+    header, rest = corpus.read_text().split("\n", 1)
+    corpus.write_text(json.dumps({**json.loads(header), key: value}) + "\n" + rest)
+    capsys.readouterr()
+    assert main(["chunk", "--corpus", str(corpus), "--out", str(chunks)]) == EXIT_FORMAT
+    assert key in capsys.readouterr().err
+    assert not chunks.exists()
 
 
 @pytest.mark.parametrize("defect", ["duplicate", "non-unit"])

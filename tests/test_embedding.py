@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from cirbench import (
     ContextBlock,
+    Embedder,
     EmbedderConfig,
     MixDecomposition,
     dilution_curve,
@@ -211,6 +215,14 @@ def test_effective_lambda_noise_over_signal_scenario():
     assert effective_lambda(e, CFG) == pytest.approx(0.9375, abs=1e-9)
 
 
+def test_effective_lambda_degenerate_when_context_mean_is_chunk_mean():
+    chunk_tokens = ["alpha", "beta", "beta", "gamma", "delta"]
+    chunk = Chunk("normative-0000:s000:t00000", "normative-0000", 0, ["h"], chunk_tokens)
+    e = enrich(chunk, ContextBlock(list(reversed(chunk_tokens)), [], []))
+    with pytest.raises(DegenerateMixError):
+        effective_lambda(e, CFG)
+
+
 def test_effective_lambda_empty_context_is_zero():
     chunk = Chunk("normative-0000:s000:t00000", "normative-0000", 0, ["h"], ["a", "b"])
     e = enrich(chunk, ContextBlock([], [], []))
@@ -226,3 +238,63 @@ def test_mixing_identity_exact_form():
         comb = e.cir * emb.mean_vector(e.context.tokens) + (1.0 - e.cir) * emb.mean_vector(e.base.tokens)
         comb = comb / np.linalg.norm(comb)
         assert np.max(np.abs(full - comb)) <= 1e-9
+
+
+# Digests recorded before the token-table rewrite, so that rewrite and any
+# later one must keep hashing, pooling and normalization bit-identical.
+GOLDEN_CFG = EmbedderConfig(dim=256, hash_seed=20260)
+GOLDEN_LISTS = [
+    ["alpha", "beta", "alpha", "alpha", "gamma", "beta"],
+    ["solo"],
+    [f"t{(i * 7919) % 613}" for i in range(2000)],
+    ["", "delta", "", "epsilon"],
+]
+GOLDEN_TOKENS = ["alpha", "solo", "t17", "delta", "\u00fcn\u00efcode"]
+
+
+def _sha256(values: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+def test_embedder_golden_vectors():
+    emb = Embedder(GOLDEN_CFG)
+    assert _sha256(emb.embed_many(GOLDEN_LISTS)) == "747bb2e4ee7ed709c41b1120e583de5095d8e1c67062712c9d530fe845a52ae6"
+    assert _sha256(np.stack([emb.mean_vector(t) for t in GOLDEN_LISTS])) == (
+        "9fba14c3a6a88ef70301251aeb68d0867fedacf275b8ee3d81a4219676a7a16c"
+    )
+    for emb in (emb, Embedder(GOLDEN_CFG)):  # a warm table and a fresh one
+        assert _sha256(np.stack([emb.token_vector(t) for t in GOLDEN_TOKENS])) == (
+            "01a6746cc3a9eff2f4459edee4eca9276c8df299db27710cb6f66121141bb8da"
+        )
+
+
+def test_embed_many_of_nothing_is_empty():
+    assert Embedder(CFG).embed_many([]).shape == (0, CFG.dim)
+
+
+def test_shared_embedder_concurrent_growth_matches_serial():
+    workers, lists_per_worker = 4, 60
+    batches = [[[f"w{w}-{i}-{j % 23}" for j in range(40)] for i in range(lists_per_worker)] for w in range(workers)]
+    shared = Embedder(CFG)
+    results: list[np.ndarray | None] = [None] * workers
+    start = threading.Barrier(workers)
+
+    def run(w: int) -> None:
+        start.wait()
+        results[w] = np.vstack([shared.mean_vector(tokens) for tokens in batches[w]] + [shared.embed_many(batches[w])])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads as finely as the interpreter allows
+    try:
+        threads = [threading.Thread(target=run, args=(w,)) for w in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+
+    serial = Embedder(CFG)
+    for w in range(workers):
+        expected = np.vstack([serial.mean_vector(tokens) for tokens in batches[w]] + [serial.embed_many(batches[w])])
+        assert np.array_equal(results[w], expected)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cirbench import (
+    CorpusConfig,
     EmbedderConfig,
     MetricRow,
     QuerySpec,
@@ -14,6 +15,7 @@ from cirbench import (
     SweepReport,
     all_strategies,
     emit_report,
+    generate_corpus,
     homogenization,
     ndcg_at_k,
     recall_at_k,
@@ -235,6 +237,19 @@ def test_run_sweep_static_rows_strictly_increasing(small_config, small_corpus):
         assert 0.0 <= r.mean_cir < 1.0
         assert 0.0 <= r.ndcg_at_10 <= 1.0
         assert 0.0 <= r.homogenization <= 1.0
+
+
+def test_config_digest_covers_corpus_and_search_inputs():
+    def digest(seed: int, **kwargs) -> str:
+        cfg = CorpusConfig(seed=seed, doc_counts={"normative": 1, "technical": 1, "transactional": 1}, query_count=8)
+        docs, queries = generate_corpus(cfg)
+        return run_sweep(docs, queries, [strategy("low")], EmbedderConfig(dim=64, hash_seed=3), **kwargs).config_digest
+
+    first = digest(11)
+    assert digest(11) == first
+    assert digest(12) != first  # same counts and embedder, another corpus
+    assert digest(11, k_values=(10, 3)) != first
+    assert digest(11, search_depth=50) != first
 
 
 def test_report_csv_shape(small_config, small_corpus):
