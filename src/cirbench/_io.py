@@ -13,7 +13,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .errors import CorpusFormatError
 
@@ -64,39 +64,46 @@ def write_jsonl(path: str | Path, records: Iterable[dict], header: dict | None =
     atomic_write_text(path, encode_jsonl(records, header))
 
 
+def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped text) for every non-blank line; a line that is not UTF-8 is a CorpusFormatError."""
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise CorpusFormatError(f"{path}: line {lineno}: not UTF-8 ({exc.reason})") from exc
+            if line:
+                yield lineno, line
+
+
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     """Map every record of a JSONL file through *parse*, in file order.
 
-    Blank lines and the ``run_config`` record are skipped. Bad JSON, a line
-    that is not an object, and a record that *parse* rejects with KeyError,
-    TypeError or ValueError all raise CorpusFormatError naming the path and
-    the line number.
+    Blank lines and the ``run_config`` record are skipped. Bytes that are
+    not UTF-8, bad JSON, a line that is not an object, and a record that
+    *parse* rejects with KeyError, TypeError or ValueError all raise
+    CorpusFormatError naming the path and the line number.
     """
     out: list[T] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: {exc.msg}") from exc
-            if not isinstance(rec, dict):
-                raise CorpusFormatError(f"{path}: line {lineno}: expected a JSON object")
-            if rec.get("type") == "run_config":
-                continue
-            try:
-                out.append(parse(rec))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: bad record ({type(exc).__name__}: {exc})") from exc
+    for lineno, line in _lines(path):
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{path}: line {lineno}: {exc.msg}") from exc
+        if not isinstance(rec, dict):
+            raise CorpusFormatError(f"{path}: line {lineno}: expected a JSON object")
+        if rec.get("type") == "run_config":
+            continue
+        try:
+            out.append(parse(rec))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"{path}: line {lineno}: bad record ({type(exc).__name__}: {exc})") from exc
     return out
 
 
 def read_run_config(path: str | Path) -> dict:
     """The ``run_config`` record leading a JSONL file, without its type; {} when there is none."""
-    with open(path, "r", encoding="utf-8") as handle:
-        line = next((line for line in handle if line.strip()), "")
+    _, line = next(_lines(path), (0, ""))
     try:
         rec = json.loads(line)
     except json.JSONDecodeError:

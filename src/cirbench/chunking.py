@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from ._io import read_jsonl, write_jsonl
+from .errors import ConfigError
 
 if TYPE_CHECKING:
     from .corpus import Document
@@ -67,7 +68,7 @@ def chunk_document(doc: "Document", target: int) -> list[Chunk]:
     concatenation of the section bodies.
     """
     if target < MIN_CHUNK_TARGET:
-        raise ValueError(f"chunk target must be >= {MIN_CHUNK_TARGET}, got {target}")
+        raise ConfigError(f"chunk_target: must be >= {MIN_CHUNK_TARGET}, got {target}")
     chunks: list[Chunk] = []
     for section_index, section in enumerate(doc.sections):
         body = section.body
@@ -94,10 +95,12 @@ def write_chunks(chunks: Iterable[Chunk], path: str | Path, header: dict | None 
 
 
 def _chunk_from_record(rec: dict) -> Chunk:
-    _, section_index, _ = parse_chunk_id(rec["chunk_id"])
+    doc_id, section_index, _ = parse_chunk_id(rec["chunk_id"])
+    if rec["doc_id"] != doc_id:
+        raise ValueError(f"doc_id {rec['doc_id']!r} disagrees with chunk id {rec['chunk_id']!r}")
     return Chunk(
         chunk_id=rec["chunk_id"],
-        doc_id=rec["doc_id"],
+        doc_id=doc_id,
         section_index=section_index,
         heading_path=list(rec["heading_path"]),
         tokens=list(rec["tokens"]),
@@ -105,5 +108,5 @@ def _chunk_from_record(rec: dict) -> Chunk:
 
 
 def read_chunks(path: str | Path) -> list[Chunk]:
-    """Read a chunk dump; section index and offset come from the chunk id."""
+    """Read a chunk dump; section index and offset come from the chunk id, whose document must be ``doc_id``."""
     return read_jsonl(path, _chunk_from_record)

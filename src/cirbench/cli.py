@@ -7,8 +7,9 @@ JSONL/CSV output carries the resolved configuration for provenance, and
 ``chunk``, ``inject`` and ``embed`` take their defaults from their input
 file's, so a chain keeps the corpus's seed.
 
-Exit codes: 0 success, 2 invalid flags, 3 missing input file,
-4 format/parse error, 1 any other failure.
+Exit codes: 0 success, 2 invalid flags or out-of-range configuration
+values, 3 missing input file, 4 format/parse error (including bytes that
+are not UTF-8), 1 any other failure.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from pathlib import Path
 
 from ._hash import fork_seed
-from ._io import atomic_write_text, read_run_config
+from ._io import read_run_config
 from .chunking import chunk_document, read_chunks, tokenize, write_chunks
 from .corpus import (
     CorpusConfig,
@@ -28,9 +29,9 @@ from .corpus import (
     serialize_corpus,
 )
 from .embedding import EmbedderConfig, get_embedder
-from .errors import CirbenchError, FormatError
-from .evaluation import emit_report, parse_report_jsonl, report_csv, report_jsonl, run_sweep
-from .injection import build_context, enrich, read_enriched, strategy, write_enriched
+from .errors import CirbenchError, ConfigError, FormatError
+from .evaluation import emit_report, parse_report_jsonl, report_csv, run_sweep
+from .injection import STRATEGY_KINDS, build_context, enrich, read_enriched, strategy, write_enriched
 from .retrieval import build_index, load_index, save_index, search
 
 EXIT_OK = 0
@@ -62,7 +63,10 @@ def _default_out_dir() -> str:
 def _load_config_file(path: str) -> dict:
     """Parse a plain `key = value` config file; '#' starts a comment."""
     values: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -134,11 +138,6 @@ def _provenance(resolved: dict) -> dict:
     return out
 
 
-def _config_comment(resolved: dict) -> str:
-    prov = _provenance(resolved)
-    return "# config: " + " ".join(f"{k}={prov[k]}" for k in sorted(prov))
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     docs, queries = generate_corpus(_corpus_config(resolved))
@@ -203,29 +202,20 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    docs, queries = generate_corpus(_corpus_config(resolved))
     strategies = [strategy(kind, resolved["t_max"]) for kind in resolved["strategies"]]
     embed_config = EmbedderConfig(dim=resolved["dim"], hash_seed=resolved["hash_seed"])
-    report = run_sweep(
-        docs, queries, strategies, embed_config, chunk_target=resolved["chunk_target"]
-    )
-    flags_line = (
-        f"# flags: inverted_u={str(report.flags.inverted_u).lower()}"
-        f" curve_cross_cir={'none' if report.flags.curve_cross_cir is None else repr(report.flags.curve_cross_cir)}"
-    )
-    csv_text = report_csv(report) + flags_line + "\n" + _config_comment(resolved) + "\n"
-    atomic_write_text(out_dir / "sweep.csv", csv_text)
-    atomic_write_text(out_dir / "sweep.jsonl", report_jsonl(report, header=_provenance(resolved)))
-    print(csv_text, end="")
-    print(f"wrote {out_dir / 'sweep.csv'} and {out_dir / 'sweep.jsonl'}")
+    docs, queries = generate_corpus(_corpus_config(resolved))
+    report = run_sweep(docs, queries, strategies, embed_config, chunk_target=resolved["chunk_target"])
+    header = _provenance(resolved)
+    written = [path for fmt in ("csv", "jsonl") for path in emit_report(report, fmt, args.out_dir, header)]
+    print(report_csv(report, header), end="")
+    print(f"wrote {written[0]} and {written[1]}")
     return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     report = parse_report_jsonl(args.sweep)
-    written = emit_report(report, args.format, args.out_dir)
+    written = emit_report(report, args.format, args.out_dir, read_run_config(args.sweep) or None)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
@@ -267,11 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, "t_max")
     p.add_argument("--corpus", required=True)
     p.add_argument("--chunks", required=True)
-    p.add_argument(
-        "--strategy",
-        required=True,
-        choices=["baseline", "low", "medium", "high", "overload", "ddai"],
-    )
+    p.add_argument("--strategy", required=True, choices=STRATEGY_KINDS)
     p.add_argument("--out", required=True, help="enriched-chunk JSONL output path")
     p.set_defaults(func=cmd_inject)
 
@@ -314,12 +300,11 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_MISSING
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
     except CirbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        if isinstance(exc, FormatError):
+            return EXIT_FORMAT
+        return EXIT_USAGE if isinstance(exc, ConfigError) else EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -23,13 +23,17 @@ from ._io import atomic_write_text, encode_jsonl, read_jsonl
 from .chunking import Chunk, chunk_document, parse_chunk_id
 from .corpus import SPECIFIC, Document, QuerySpec, corpus_records
 from .embedding import EmbedderConfig, get_embedder
+from .errors import ConfigError
 from .injection import InjectionStrategy, build_context, enrich
 from .retrieval import Hit, build_index, search
 
 CSV_HEADER = "strategy,mean_cir,ndcg10,recall5_specific,recall5_thematic,homogenization,wrong_section_share"
 
+# The protocol the column names state; thematic recall dedups by document, so it reads past the top RECALL_K hits.
+NDCG_K, RECALL_K, SEARCH_DEPTH = 10, 5, 100
 
-def ndcg_at_k(ranking: Sequence[Hit], relevant: set[str], k: int = 10) -> float:
+
+def ndcg_at_k(ranking: Sequence[Hit], relevant: set[str], k: int = NDCG_K) -> float:
     """Binary-gain NDCG: DCG over the top k divided by the ideal DCG."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -44,7 +48,7 @@ def ndcg_at_k(ranking: Sequence[Hit], relevant: set[str], k: int = 10) -> float:
     return dcg / idcg
 
 
-def recall_at_k(ranking: Sequence[Hit], query: QuerySpec, k: int = 5) -> float:
+def recall_at_k(ranking: Sequence[Hit], query: QuerySpec, k: int = RECALL_K) -> float:
     """Hit indicator for one query.
 
     Specific queries count a hit when the gold chunk is in the top k.
@@ -135,10 +139,8 @@ def sweep_flags(rows: Sequence[MetricRow]) -> SweepFlags:
     return SweepFlags(inverted, cross)
 
 
-def _config_digest(
-    documents, queries, strategies, embed_config: EmbedderConfig, chunk_target: int, k_values, search_depth: int
-) -> str:
-    """Digest of every input to run_sweep that can change a row, and the package version."""
+def _config_digest(documents, queries, strategies, embed_config: EmbedderConfig, chunk_target: int) -> str:
+    """Digest of every input to run_sweep that can change a row, the sweep protocol and the package version."""
     payload = json.dumps(
         {
             "version": __version__,
@@ -146,9 +148,10 @@ def _config_digest(
             "dim": embed_config.dim,
             "hash_seed": embed_config.hash_seed,
             "chunk_target": chunk_target,
-            "strategies": [astuple(s) for s in strategies],
-            "k_values": list(k_values),
-            "search_depth": search_depth,
+            # The keys and values of the settable fields these once were: recorded digests stay valid.
+            "strategies": [[s.kind, s.summary_budget, s.target_cir, s.t_max] for s in strategies],
+            "k_values": [NDCG_K, RECALL_K],
+            "search_depth": SEARCH_DEPTH,
         },
         sort_keys=True,
     )
@@ -162,9 +165,6 @@ def evaluate_strategy(
     query_vectors: np.ndarray,
     strat: InjectionStrategy,
     embedder,
-    ndcg_k: int,
-    recall_k: int,
-    search_depth: int,
 ) -> MetricRow:
     """Enrich, embed, index, and score every query for one strategy."""
     enriched = [enrich(chunk, build_context(doc_by_id[chunk.doc_id], chunk, strat)) for chunk in chunks]
@@ -181,9 +181,9 @@ def evaluate_strategy(
     recall_thematic: list[float] = []
     failures: list[tuple[QuerySpec, Hit]] = []
     for qi, query in enumerate(queries):
-        ranking = search(index, query_vectors[qi], search_depth)
-        ndcg_values.append(ndcg_at_k(ranking, query.gold_chunk_ids, ndcg_k))
-        r = recall_at_k(ranking, query, recall_k)
+        ranking = search(index, query_vectors[qi], SEARCH_DEPTH)
+        ndcg_values.append(ndcg_at_k(ranking, query.gold_chunk_ids, NDCG_K))
+        r = recall_at_k(ranking, query, RECALL_K)
         if query.intent == SPECIFIC:
             recall_specific.append(r)
             if ranking and ranking[0].chunk_id not in query.gold_chunk_ids:
@@ -216,13 +216,10 @@ def run_sweep(
     embed_config: EmbedderConfig,
     *,
     chunk_target: int = 250,
-    k_values: tuple[int, int] = (10, 5),
-    search_depth: int = 100,
 ) -> SweepReport:
     """Run the full pipeline for every strategy; rows sorted by mean ratio."""
     if not documents or not queries:
-        raise ValueError("run_sweep needs a non-empty corpus and query set")
-    ndcg_k, recall_k = k_values
+        raise ConfigError("run_sweep needs a non-empty corpus and query set")
     embedder = get_embedder(embed_config)
     doc_by_id = {doc.doc_id: doc for doc in documents}
     chunks: list[Chunk] = []
@@ -230,14 +227,9 @@ def run_sweep(
         chunks.extend(chunk_document(doc, chunk_target))
     query_vectors = embedder.embed_many([q.text for q in queries])
 
-    rows = [
-        evaluate_strategy(
-            chunks, doc_by_id, queries, query_vectors, strat, embedder, ndcg_k, recall_k, search_depth
-        )
-        for strat in strategies
-    ]
+    rows = [evaluate_strategy(chunks, doc_by_id, queries, query_vectors, strat, embedder) for strat in strategies]
     rows.sort(key=lambda r: r.mean_cir)
-    digest = _config_digest(documents, queries, strategies, embed_config, chunk_target, k_values, search_depth)
+    digest = _config_digest(documents, queries, strategies, embed_config, chunk_target)
     return SweepReport(config_digest=digest, rows=rows, flags=sweep_flags(rows))
 
 
@@ -245,7 +237,8 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
-def report_csv(report: SweepReport) -> str:
+def report_csv(report: SweepReport, header: dict | None = None) -> str:
+    """The metric table; with the run's provenance *header*, a flags and a config comment line follow it."""
     lines = [CSV_HEADER]
     for r in report.rows:
         lines.append(
@@ -261,6 +254,13 @@ def report_csv(report: SweepReport) -> str:
                 ]
             )
         )
+    if header is not None:
+        cross = report.flags.curve_cross_cir
+        lines.append(
+            f"# flags: inverted_u={str(report.flags.inverted_u).lower()}"
+            f" curve_cross_cir={'none' if cross is None else repr(cross)}"
+        )
+        lines.append("# config: " + " ".join(f"{k}={header[k]}" for k in sorted(header)))
     return "\n".join(lines) + "\n"
 
 
@@ -321,22 +321,24 @@ def parse_report_jsonl(path: str | Path) -> SweepReport:
     )
 
 
-def emit_report(report: SweepReport, fmt: str, out_dir: str | Path) -> list[Path]:
+def emit_report(report: SweepReport, fmt: str, out_dir: str | Path, header: dict | None = None) -> list[Path]:
     """Write the report as csv, jsonl, or plotdata files; returns the paths.
 
-    plotdata emits one two-column file per strategy row (mean ratio against
-    NDCG), ready for concatenation into an external plotting tool.
+    csv and jsonl carry the run's provenance *header* when one is given, so
+    re-emitting a sweep's report reproduces its files. plotdata emits one
+    two-column file per strategy row (mean ratio against NDCG), ready for
+    concatenation into an external plotting tool.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     if fmt == "csv":
         path = out_dir / "sweep.csv"
-        atomic_write_text(path, report_csv(report))
+        atomic_write_text(path, report_csv(report, header))
         written.append(path)
     elif fmt == "jsonl":
         path = out_dir / "sweep.jsonl"
-        atomic_write_text(path, report_jsonl(report))
+        atomic_write_text(path, report_jsonl(report, header))
         written.append(path)
     elif fmt == "plotdata":
         for r in report.rows:

@@ -61,9 +61,9 @@ def ddai_budget(chunk_len: int, t_max: float) -> int:
 
 @dataclass(frozen=True)
 class InjectionStrategy:
+    """One named strategy; its summary budget and target band are presets of ``kind``."""
+
     kind: str
-    summary_budget: int
-    target_cir: float | None = None
     t_max: float = 0.35
 
     def __post_init__(self) -> None:
@@ -72,17 +72,18 @@ class InjectionStrategy:
         if not 0.0 < self.t_max < 1.0:
             raise ConfigError("t_max: must lie in (0, 1)")
 
+    @property
+    def summary_budget(self) -> int:
+        return _SUMMARY_BUDGET[self.kind]
+
+    @property
+    def target_cir(self) -> float | None:
+        return _TARGET_CIR.get(self.kind)
+
 
 def strategy(kind: str, t_max: float = 0.35) -> InjectionStrategy:
-    """Build one of the named strategies with its preset budgets."""
-    if kind not in STRATEGY_KINDS:
-        raise ConfigError(f"strategy: unknown kind {kind!r}")
-    return InjectionStrategy(
-        kind=kind,
-        summary_budget=_SUMMARY_BUDGET[kind],
-        target_cir=_TARGET_CIR.get(kind),
-        t_max=t_max,
-    )
+    """Build one of the named strategies; its budgets are the kind's presets."""
+    return InjectionStrategy(kind, t_max)
 
 
 def all_strategies(t_max: float = 0.35) -> list[InjectionStrategy]:
@@ -106,17 +107,26 @@ class ContextBlock:
 
 @dataclass
 class EnrichedChunk:
+    """A chunk with its context block; the enriched tokens and ratio follow from the two."""
+
     base: Chunk
     context: ContextBlock
-    tokens: list[str]
-    cir: float
+
+    @property
+    def tokens(self) -> list[str]:
+        """Context, then chunk."""
+        return self.context.tokens + self.base.tokens
+
+    @property
+    def cir(self) -> float:
+        return compute_cir(self.context.length, self.base.length)
 
 
-def document_digest(doc: Document, per_section: int = DIGEST_TOKENS_PER_SECTION) -> list[str]:
+def document_digest(doc: Document) -> list[str]:
     """Deterministic extractive summary: the leading tokens of every section."""
     out: list[str] = []
     for section in doc.sections:
-        out.extend(section.body[:per_section])
+        out.extend(section.body[:DIGEST_TOKENS_PER_SECTION])
     return out
 
 
@@ -172,13 +182,8 @@ def build_context(doc: Document, chunk: Chunk, strat: InjectionStrategy) -> Cont
 
 
 def enrich(chunk: Chunk, context: ContextBlock) -> EnrichedChunk:
-    """Concatenate context-then-chunk and record the exact ratio."""
-    return EnrichedChunk(
-        base=chunk,
-        context=context,
-        tokens=context.tokens + chunk.tokens,
-        cir=compute_cir(context.length, chunk.length),
-    )
+    """Pair *chunk* with its context block."""
+    return EnrichedChunk(chunk, context)
 
 
 def write_enriched(

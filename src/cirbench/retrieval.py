@@ -1,9 +1,9 @@
 """Exact cosine kNN over unit vectors, with binary persistence.
 
 Search is a full scan: the score vector is one float64 matrix-vector
-product of the stored 32-bit vectors (exactly widened) against the query,
-ties broken by ascending chunk id, so equal index plus equal query always
-yields the same ranking.
+product of the index's vectors (32-bit values, exactly widened) against
+the query, ties broken by ascending chunk id, so equal index plus equal
+query always yields the same ranking.
 
 File format (all integers little-endian): magic ``CIRX``, version u16
 (2), dim u32, count u64, the embedder's hash seed u64; per entry a
@@ -42,19 +42,20 @@ class VectorIndex:
 
     Construction checks the index contract (one doc id, section and
     ``dim``-wide unit-norm row per unique chunk id; a u64 ``hash_seed``), so
-    built and loaded indexes pass the same checks.
+    built and loaded indexes pass the same checks. The vectors are rounded to
+    the file's float32 and held widened to float64, in entry order.
     """
 
     dim: int
     chunk_ids: list[str]
     doc_ids: list[str]
     section_indexes: list[int]
-    vectors: np.ndarray  # (count, dim) float32, little-endian, C-order
+    vectors: np.ndarray  # (count, dim) float64 holding float32 values, C-order
     hash_seed: int | None = None  # the embedder's; required by save_index
-    _matrix64: np.ndarray = field(init=False, repr=False)
     _id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.vectors = np.asarray(self.vectors, dtype=np.float32).astype(np.float64, order="C")
         n = len(self.chunk_ids)
         if len(self.doc_ids) != n or len(self.section_indexes) != n or self.vectors.shape != (n, self.dim):
             raise IndexValidationError(
@@ -68,8 +69,7 @@ class VectorIndex:
         if len(set(ids)) != n:
             dupe = next(ids[a] for a, b in zip(order, order[1:]) if ids[a] == ids[b])
             raise IndexValidationError(f"duplicate chunk_id {dupe!r}")
-        self._matrix64 = self.vectors.astype(np.float64)
-        norms = np.sqrt(np.einsum("ij,ij->i", self._matrix64, self._matrix64))
+        norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
         bad = np.flatnonzero(np.abs(norms - 1.0) > _UNIT_TOL)
         if bad.size:
             first = int(bad[0])
@@ -112,7 +112,7 @@ def search(index: VectorIndex, query: np.ndarray, k: int) -> list[Hit]:
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (index.dim,):
         raise IndexValidationError(f"query dimension {q.shape} does not match index ({index.dim},)")
-    scores = index._matrix64 @ q
+    scores = index.vectors @ q
     order = np.lexsort((index._id_rank, -scores))[:k]
     return [
         Hit(index.chunk_ids[i], index.doc_ids[i], index.section_indexes[i], float(scores[i]))
@@ -157,32 +157,27 @@ def load_index(path: str | Path) -> VectorIndex:
         raise IndexFormatError(f"{path}: truncated header")
     _, dim, count, hash_seed = _HEADER.unpack_from(data, 4)
     offset = 4 + _HEADER.size
+    # Each entry takes at least 8 id-table and 4 * dim vector bytes: bound the loop.
+    if count * (8 + 4 * dim) > len(data) - offset:
+        raise IndexFormatError(f"{path}: truncated id table")
     chunk_ids: list[str] = []
     doc_ids: list[str] = []
     sections: list[int] = []
     try:
         for _ in range(count):
-            (n,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            chunk_ids.append(data[offset : offset + n].decode("utf-8"))
-            offset += n
-            (n,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            doc_ids.append(data[offset : offset + n].decode("utf-8"))
-            offset += n
-            (sec,) = struct.unpack_from("<I", data, offset)
+            end = offset + 2 + int.from_bytes(data[offset : offset + 2], "little")
+            chunk_ids.append(data[offset + 2 : end].decode("utf-8"))
+            offset = end + 2 + int.from_bytes(data[end : end + 2], "little")
+            doc_ids.append(data[end + 2 : offset].decode("utf-8"))
+            sections.append(int.from_bytes(data[offset : offset + 4], "little"))
             offset += 4
-            sections.append(sec)
-    except struct.error as exc:
-        raise IndexFormatError(f"{path}: truncated id table") from exc
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"{path}: id table entry {len(doc_ids)} is not UTF-8 ({exc.reason})") from exc
+    # A slice past the end comes back short, so a truncated id table fails this check.
     expected = offset + count * dim * 4
     if len(data) != expected:
         raise IndexFormatError(f"{path}: expected {expected} bytes, found {len(data)}")
-    if count:
-        vectors = np.frombuffer(data, dtype="<f4", count=count * dim, offset=offset)
-        vectors = vectors.reshape(count, dim).copy()
-    else:
-        vectors = np.zeros((0, dim), dtype="<f4")
+    vectors = np.frombuffer(data, dtype="<f4", count=count * dim, offset=offset).reshape(count, dim)
     try:
         return VectorIndex(dim, chunk_ids, doc_ids, sections, vectors, hash_seed)
     except IndexValidationError as exc:

@@ -5,6 +5,7 @@ import pytest
 from cirbench import chunk_document, make_chunk_id, parse_chunk_id, tokenize
 from cirbench.chunking import read_chunks, write_chunks
 from cirbench.corpus import Document, Section
+from cirbench.errors import CorpusFormatError
 
 
 def _doc(bodies: list[list[str]], doc_id: str = "normative-0000") -> Document:
@@ -107,3 +108,13 @@ def test_chunk_dump_round_trip(tmp_path, small_corpus):
     write_chunks(chunks, path, header={"seed": 7})
     back = read_chunks(path)
     assert back == chunks
+
+
+def test_read_chunks_rejects_doc_id_that_disagrees_with_chunk_id(tmp_path, small_corpus):
+    docs, _ = small_corpus
+    chunks = chunk_document(docs[0], 250) + chunk_document(docs[1], 250)
+    chunks[-1].doc_id = docs[0].doc_id
+    path = tmp_path / "chunks.jsonl"
+    write_chunks(chunks, path)
+    with pytest.raises(CorpusFormatError, match=f"line {len(chunks)}: .*disagrees"):
+        read_chunks(path)

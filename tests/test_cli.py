@@ -176,6 +176,18 @@ def test_report_formats_from_sweep(tmp_path):
     assert (out / "again" / "sweep.csv").exists()
 
 
+def test_report_reproduces_sweep_files(tmp_path):
+    out = tmp_path / "out"
+    assert main(["sweep", *SMALL, "--out-dir", str(out)]) == EXIT_OK
+    expected = {name: (out / name).read_bytes() for name in ("sweep.csv", "sweep.jsonl")}
+    # Into another directory, then into the sweep's own, over the files it reads.
+    for target in (tmp_path / "again", out):
+        for fmt in ("csv", "jsonl"):
+            argv = ["report", "--sweep", str(out / "sweep.jsonl"), "--format", fmt, "--out-dir", str(target)]
+            assert main(argv) == EXIT_OK
+        assert {name: (target / name).read_bytes() for name in expected} == expected
+
+
 def test_sweep_csv_has_flags_and_config_lines(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sweep", *SMALL, "--out-dir", str(out)]) == EXIT_OK
@@ -198,14 +210,59 @@ def test_format_error_exit_code(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
-def test_invalid_flag_exit_code():
+def _exit_code(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag by exiting
+        return exc.code
+
+
+def test_invalid_flag_exit_code(tmp_path):
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+    assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
     for argv in (
         ["inject", "--strategy", "maximal", "--corpus", "x", "--chunks", "y", "--out", "z"],
         ["query", "--index", "x", "--text", "y", "--k", "0"],
+        ["sweep", *SMALL, "--dim", "4", "--out-dir", str(out)],
+        ["sweep", *SMALL, "--t-max", "2", "--out-dir", str(out)],
+        ["sweep", *SMALL, "--strategies", "foo", "--out-dir", str(out)],
+        ["sweep", *SMALL, "--queries", "0", "--out-dir", str(out)],
+        ["gen", "--docs", "0", "--out", str(out / "corpus.jsonl")],
+        ["chunk", "--corpus", str(corpus), "--chunk-target", "8", "--out", str(out / "chunks.jsonl")],
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert _exit_code(argv) == EXIT_USAGE, argv
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("artifact", ["corpus", "config", "index"])
+def test_bytes_that_are_not_utf8_are_format_error(tmp_path, capsys, artifact):
+    corpus, chunks, enriched, vectors = (
+        tmp_path / name for name in ("corpus.jsonl", "chunks.jsonl", "enriched.jsonl", "vectors.cirx")
+    )
+    if artifact == "corpus":
+        assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
+        data = corpus.read_bytes()
+        corpus.write_bytes(data[:500] + b"\xff" + data[500:])
+        bad, argv = corpus, ["chunk", "--corpus", str(corpus), "--out", str(chunks)]
+    elif artifact == "config":
+        bad = tmp_path / "run.cfg"
+        bad.write_bytes(b"seed = 11\n# caf\xff\n")
+        argv = ["gen", "--config", str(bad), "--out", str(corpus)]
+    else:
+        assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
+        assert main(["chunk", "--corpus", str(corpus), "--out", str(chunks)]) == EXIT_OK
+        assert main(
+            ["inject", "--corpus", str(corpus), "--chunks", str(chunks), "--strategy", "low", "--out", str(enriched)]
+        ) == EXIT_OK
+        assert main(["embed", "--enriched", str(enriched), "--out", str(vectors)]) == EXIT_OK
+        data = vectors.read_bytes()
+        first_id = 4 + 22 + 2  # magic, header, the first chunk id's length
+        vectors.write_bytes(data[:first_id] + b"\xff" + data[first_id + 1 :])
+        bad, argv = vectors, ["query", "--index", str(vectors), "--text", "a b c"]
+    capsys.readouterr()
+    assert main(argv) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert str(bad) in err and "UTF-8" in err
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -248,8 +248,16 @@ def test_config_digest_covers_corpus_and_search_inputs():
     first = digest(11)
     assert digest(11) == first
     assert digest(12) != first  # same counts and embedder, another corpus
-    assert digest(11, k_values=(10, 3)) != first
-    assert digest(11, search_depth=50) != first
+
+
+def test_config_digest_value_is_stable():
+    # Recorded before the strategy presets and the cut-offs became derived
+    # values; the payload must keep hashing to the same digests.
+    cfg = CorpusConfig(seed=11, doc_counts={"normative": 1, "technical": 1, "transactional": 1}, query_count=8)
+    docs, queries = generate_corpus(cfg)
+    embed_config = EmbedderConfig(dim=64, hash_seed=3)
+    assert run_sweep(docs, queries, [strategy("low")], embed_config).config_digest == "bf1bff421914"
+    assert run_sweep(docs, queries, all_strategies(0.2), embed_config).config_digest == "81eabcbc9157"
 
 
 def test_report_csv_shape(small_config, small_corpus):

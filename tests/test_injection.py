@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
 
 from cirbench import (
     ContextBlock,
+    EnrichedChunk,
+    InjectionStrategy,
     all_strategies,
     build_context,
     chunk_document,
@@ -104,6 +107,15 @@ def test_strategy_validation():
         strategy("ddai", t_max=1.0)
 
 
+def test_strategy_presets_follow_kind():
+    assert [f.name for f in fields(InjectionStrategy)] == ["kind", "t_max"]
+    medium = InjectionStrategy("medium")
+    assert (medium.summary_budget, medium.target_cir, medium.t_max) == (50, 0.35, 0.35)
+    ddai = strategy("ddai", 0.2)
+    assert (ddai.summary_budget, ddai.target_cir, ddai.t_max) == (250, None, 0.2)
+    assert strategy("low") == InjectionStrategy("low", 0.35)
+
+
 def test_baseline_context_is_empty():
     doc, chunk = _doc_and_chunk(250, ["alpha beta gamma", "delta epsilon s00"])
     ctx = build_context(doc, chunk, strategy("baseline"))
@@ -158,6 +170,15 @@ def test_enrich_with_empty_context():
     e = enrich(chunk, ContextBlock([], [], []))
     assert e.tokens == chunk.tokens
     assert e.cir == 0.0
+
+
+def test_enriched_tokens_and_cir_follow_context():
+    doc, chunk = _doc_and_chunk(30, ["alpha beta", "delta s00"])
+    e = enrich(chunk, ContextBlock([], [], []))
+    assert [f.name for f in fields(EnrichedChunk)] == ["base", "context"]
+    e.context.summary_tokens.extend(["s0", "s1"])
+    assert e.tokens == ["s0", "s1", *chunk.tokens]
+    assert e.cir == compute_cir(2, 30)
 
 
 def test_enriched_dump_round_trip(tmp_path, small_corpus):

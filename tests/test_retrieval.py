@@ -178,6 +178,30 @@ def test_truncated_file(tmp_path):
             load_index(bad)
 
 
+def test_count_beyond_file_size_is_truncation(tmp_path):
+    rng = np.random.default_rng(17)
+    path = tmp_path / "vectors.cirx"
+    save_index(build_index(_entries(rng, 5, 8), hash_seed=1), path)
+    data = bytearray(path.read_bytes())
+    data[10:18] = (1 << 60).to_bytes(8, "little")  # count
+    path.write_bytes(bytes(data))
+    with pytest.raises(IndexFormatError, match="truncated"):
+        load_index(path)
+
+
+def test_index_holds_float32_values_as_one_float64_matrix():
+    rng = np.random.default_rng(18)
+    entries = _entries(rng, 50, 16)
+    index = build_index(entries)
+    assert index.vectors.dtype == np.float64 and index.vectors.flags.c_contiguous
+    assert np.array_equal(index.vectors, np.array([e[3] for e in entries], dtype=np.float32))
+    floats = [name for name, value in vars(index).items() if isinstance(value, np.ndarray) and value.dtype.kind == "f"]
+    assert floats == ["vectors"]
+    q = _unit(rng, 16)
+    top = search(index, q, 1)[0]
+    assert top.score == float((index.vectors @ q)[index.chunk_ids.index(top.chunk_id)])
+
+
 def test_trailing_garbage(tmp_path):
     rng = np.random.default_rng(13)
     path = tmp_path / "vectors.cirx"
