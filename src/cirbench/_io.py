@@ -76,15 +76,17 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
+def read_jsonl(path: str | Path, parse: Callable[[dict], T], unique: str | None = None) -> list[T]:
     """Map every record of a JSONL file through *parse*, in file order.
 
     Blank lines and the ``run_config`` record are skipped. Bytes that are
-    not UTF-8, bad JSON, a line that is not an object, and a record that
-    *parse* rejects with KeyError, TypeError or ValueError all raise
+    not UTF-8, bad JSON, a line that is not an object, a record that
+    *parse* rejects with KeyError, TypeError or ValueError, and a record
+    whose *unique* field repeats an earlier record's all raise
     CorpusFormatError naming the path and the line number.
     """
     out: list[T] = []
+    first_line: dict = {}
     for lineno, line in _lines(path):
         try:
             rec = json.loads(line)
@@ -96,8 +98,11 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
             continue
         try:
             out.append(parse(rec))
+            first = first_line.setdefault(rec[unique], lineno) if unique in rec else lineno
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{path}: line {lineno}: bad record ({type(exc).__name__}: {exc})") from exc
+        if first != lineno:
+            raise CorpusFormatError(f"{path}: line {lineno}: repeated {unique} {rec[unique]!r} (first on line {first})")
     return out
 
 

@@ -109,4 +109,4 @@ def _chunk_from_record(rec: dict) -> Chunk:
 
 def read_chunks(path: str | Path) -> list[Chunk]:
     """Read a chunk dump; section index and offset come from the chunk id, whose document must be ``doc_id``."""
-    return read_jsonl(path, _chunk_from_record)
+    return read_jsonl(path, _chunk_from_record, unique="chunk_id")

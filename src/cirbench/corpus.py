@@ -440,7 +440,7 @@ def _from_record(rec: dict) -> Document | list[QuerySpec]:
 
 def deserialize_corpus(path: str | Path) -> tuple[list[Document], list[QuerySpec]]:
     """Read a corpus file back; raises CorpusFormatError with a line number."""
-    records = read_jsonl(path, _from_record)
+    records = read_jsonl(path, _from_record, unique="doc_id")
     query_blocks = [r for r in records if isinstance(r, list)]
     if not query_blocks:
         raise CorpusFormatError(f"{path}: missing trailing query block")

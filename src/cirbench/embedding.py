@@ -91,26 +91,37 @@ class Embedder:
             raise EmbeddingError("cannot hash an empty token")
         return self.mean_vector([token])
 
+    def sum_vector(self, tokens: list[str]) -> np.ndarray:
+        """Sum of the token vectors (zero for no tokens).
+
+        Every component is an integer, so it is exact in any order, and sums
+        of sums equal the sum over the concatenated tokens bit for bit.
+        """
+        if new := set(tokens).difference(self._row):
+            self._register(new)
+        rows = np.fromiter(map(self._row.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+        return np.bincount(self._idx[rows].ravel(), self._sign[rows].ravel(), minlength=self.config.dim)
+
     def mean_vector(self, tokens: list[str]) -> np.ndarray:
         """Pre-normalization mean of the token vectors."""
         if not tokens:
             raise EmbeddingError("cannot embed an empty token sequence")
-        if new := set(tokens).difference(self._row):
-            self._register(new)
-        rows = np.fromiter(map(self._row.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-        # Every component sum is an integer, so it is exact in any order.
-        return np.bincount(self._idx[rows].ravel(), self._sign[rows].ravel(), minlength=self.config.dim) / len(tokens)
+        return self.sum_vector(tokens) / len(tokens)
 
     def embed(self, tokens: list[str]) -> np.ndarray:
         """L2-normalized mean of the token vectors; order-insensitive."""
-        acc = self.mean_vector(tokens)
-        norm = float(np.linalg.norm(acc))
-        if norm == 0.0:
-            raise EmbeddingError("degenerate zero embedding for non-empty input")
-        return acc / norm
+        return unit(self.mean_vector(tokens))
 
     def embed_many(self, token_lists: list[list[str]]) -> np.ndarray:
         return np.array([self.embed(tokens) for tokens in token_lists]).reshape(-1, self.config.dim)
+
+
+def unit(acc: np.ndarray) -> np.ndarray:
+    """*acc* scaled to unit L2 norm; a zero vector raises EmbeddingError."""
+    norm = float(np.linalg.norm(acc))
+    if norm == 0.0:
+        raise EmbeddingError("degenerate zero embedding for non-empty input")
+    return acc / norm
 
 
 _EMBEDDERS: dict[EmbedderConfig, Embedder] = {}

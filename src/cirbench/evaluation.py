@@ -5,6 +5,13 @@ ground-truth queries against a per-strategy index, and reports one metric
 row per strategy plus two shape flags: whether ranking quality peaks at an
 interior injection ratio, and the smallest mean ratio at which thematic
 recall overtakes specific recall.
+
+It embeds by mixing integer sums, not by embedding enriched token lists.
+Each chunk's token vectors are summed once; each context piece named by a
+block's layout is summed once per sweep. An enriched chunk's vector is
+``(chunk_sum + context_sum) / (L_c + L_I)``, normalized. Every component
+of these sums is an integer, so the vector equals ``embed`` of the
+enriched tokens bit for bit.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ from . import __version__
 from ._io import atomic_write_text, encode_jsonl, read_jsonl
 from .chunking import Chunk, chunk_document, parse_chunk_id
 from .corpus import SPECIFIC, Document, QuerySpec, corpus_records
-from .embedding import EmbedderConfig, get_embedder
+from .embedding import Embedder, EmbedderConfig, get_embedder, unit
 from .errors import ConfigError
-from .injection import InjectionStrategy, build_context, enrich
+from .injection import ContextSources, InjectionStrategy, compute_cir, context_layout, context_sources
 from .retrieval import Hit, build_index, search
 
 CSV_HEADER = "strategy,mean_cir,ndcg10,recall5_specific,recall5_thematic,homogenization,wrong_section_share"
@@ -158,23 +165,67 @@ def _config_digest(documents, queries, strategies, embed_config: EmbedderConfig,
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
+class EnrichedSums:
+    """The sweep's chunk vectors under each strategy, from integer token-vector sums.
+
+    Each chunk is summed once, and each context piece (a leading slice of a
+    section's hierarchy or pad pool, or of a document's digest or metadata)
+    once per length; a full pad cycle is the pool's whole-length slice times
+    its count. The sums live as long as this object: one sweep, one embedder.
+    """
+
+    def __init__(self, chunks: Sequence[Chunk], doc_by_id: dict[str, Document], embedder: Embedder):
+        self.chunks = chunks
+        self._embedder = embedder
+        self._chunk_sums = [embedder.sum_vector(chunk.tokens) for chunk in chunks]
+        self._sources: dict[tuple[str, int], ContextSources] = {}
+        for chunk in chunks:
+            section = (chunk.doc_id, chunk.section_index)
+            if section not in self._sources:
+                self._sources[section] = context_sources(doc_by_id[chunk.doc_id], chunk)
+        self._piece_sums: dict[tuple, np.ndarray] = {}
+
+    def _piece(self, key: tuple, tokens: list[str], n: int) -> np.ndarray:
+        total = self._piece_sums.get((key, n))
+        if total is None:
+            total = self._piece_sums[key, n] = self._embedder.sum_vector(tokens[:n])
+        return total
+
+    def vectors(self, strat: InjectionStrategy) -> tuple[np.ndarray, list[float]]:
+        """Unit vectors and CIRs of every chunk enriched under *strat*, in chunk order."""
+        out = np.empty((len(self.chunks), self._embedder.config.dim))
+        cirs: list[float] = []
+        for i, (chunk, chunk_sum) in enumerate(zip(self.chunks, self._chunk_sums)):
+            section = (chunk.doc_id, chunk.section_index)
+            src = self._sources[section]
+            lay = context_layout(src, chunk.length, strat)
+            total = chunk_sum.copy()
+            for key, tokens, n in (
+                (("hierarchy", *section), src.hierarchy, lay.hierarchy),
+                (("pad", *section), src.pad_pool, lay.pad_rest),
+                (("digest", chunk.doc_id), src.digest, lay.summary),
+                (("metadata", chunk.doc_id), src.metadata, lay.metadata),
+            ):
+                if n:
+                    total += self._piece(key, tokens, n)
+            if lay.pad_cycles:
+                total += lay.pad_cycles * self._piece(("pad", *section), src.pad_pool, lay.pool)
+            out[i] = unit(total / (chunk.length + lay.length))
+            cirs.append(compute_cir(lay.length, chunk.length))
+        return out, cirs
+
+
 def evaluate_strategy(
-    chunks: Sequence[Chunk],
-    doc_by_id: dict[str, Document],
+    sums: EnrichedSums,
     queries: Sequence[QuerySpec],
     query_vectors: np.ndarray,
     strat: InjectionStrategy,
-    embedder,
 ) -> MetricRow:
-    """Enrich, embed, index, and score every query for one strategy."""
-    enriched = [enrich(chunk, build_context(doc_by_id[chunk.doc_id], chunk, strat)) for chunk in chunks]
-    vectors = embedder.embed_many([e.tokens for e in enriched])
-    entries = [
-        (e.base.chunk_id, e.base.doc_id, e.base.section_index, vectors[i])
-        for i, e in enumerate(enriched)
-    ]
+    """Embed, index, and score every query for one strategy."""
+    vectors, cirs = sums.vectors(strat)
+    entries = [(c.chunk_id, c.doc_id, c.section_index, vectors[i]) for i, c in enumerate(sums.chunks)]
     index = build_index(entries)
-    mean_cir = float(np.mean([e.cir for e in enriched]))
+    mean_cir = float(np.mean(cirs))
 
     ndcg_values: list[float] = []
     recall_specific: list[float] = []
@@ -192,8 +243,8 @@ def evaluate_strategy(
             recall_thematic.append(r)
 
     by_doc: dict[str, list[int]] = {}
-    for i, e in enumerate(enriched):
-        by_doc.setdefault(e.base.doc_id, []).append(i)
+    for i, chunk in enumerate(sums.chunks):
+        by_doc.setdefault(chunk.doc_id, []).append(i)
     homog_values = [
         homogenization(vectors[idxs]) for idxs in by_doc.values() if len(idxs) >= 2
     ]
@@ -221,13 +272,13 @@ def run_sweep(
     if not documents or not queries:
         raise ConfigError("run_sweep needs a non-empty corpus and query set")
     embedder = get_embedder(embed_config)
-    doc_by_id = {doc.doc_id: doc for doc in documents}
     chunks: list[Chunk] = []
     for doc in documents:
         chunks.extend(chunk_document(doc, chunk_target))
     query_vectors = embedder.embed_many([q.text for q in queries])
+    sums = EnrichedSums(chunks, {doc.doc_id: doc for doc in documents}, embedder)
 
-    rows = [evaluate_strategy(chunks, doc_by_id, queries, query_vectors, strat, embedder) for strat in strategies]
+    rows = [evaluate_strategy(sums, queries, query_vectors, strat) for strat in strategies]
     rows.sort(key=lambda r: r.mean_cir)
     digest = _config_digest(documents, queries, strategies, embed_config, chunk_target)
     return SweepReport(config_digest=digest, rows=rows, flags=sweep_flags(rows))

@@ -5,14 +5,17 @@ strategies target fixed context-injection-ratio bands by sizing the block
 from the chunk length; the adaptive strategy ("ddai") instead caps the
 block so the ratio never exceeds a threshold, filling hierarchy first and
 summary second, with no padding and no metadata.
+
+``context_layout`` is the one place a block is sized: it gives each piece's
+length over the section's ``ContextSources``. ``build_context`` materializes
+those pieces as token lists; the sweep adds up their token-vector sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle, islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ._io import read_jsonl, write_jsonl
 from .chunking import Chunk, parse_chunk_id
@@ -136,49 +139,92 @@ def hierarchy_tokens(chunk: Chunk) -> list[str]:
 
 
 def metadata_tokens(doc: Document) -> list[str]:
-    """Document metadata rendered as tokens: id, typology, section list."""
+    """Document metadata rendered as tokens: id, typology, section list (each section's last heading)."""
     out = doc.doc_id.split("-") + [doc.typology]
     for section in doc.sections:
-        out.extend(section.heading_path[-1].split())
+        if section.heading_path:
+            out.extend(section.heading_path[-1].split())
     return out
 
 
-def build_context(doc: Document, chunk: Chunk, strat: InjectionStrategy) -> ContextBlock:
-    """Assemble the context block for *chunk* under *strat*.
+class ContextSources(NamedTuple):
+    """The token lists a chunk's context blocks are cut from; equal for every chunk of one section."""
+
+    hierarchy: list[str]
+    digest: list[str]
+    metadata: list[str]
+    pad_pool: list[str]
+
+
+def context_sources(doc: Document, chunk: Chunk) -> ContextSources:
+    """*chunk*'s heading path, the document's digest and metadata, and the pad pool.
+
+    The pad pool is the heading path plus the digest's leading tokens; when
+    both are empty it is the title, or ``["context"]`` for an untitled document.
+    """
+    hierarchy = hierarchy_tokens(chunk)
+    digest = document_digest(doc)
+    pad_pool = hierarchy + digest[:_PAD_POOL_DIGEST_TOKENS] or list(doc.title) or ["context"]
+    return ContextSources(hierarchy, digest, metadata_tokens(doc), pad_pool)
+
+
+class ContextLayout(NamedTuple):
+    """A context block as the lengths of its pieces, each a leading slice of a ContextSources list.
+
+    The block is ``hierarchy[:hierarchy]``, then ``padding`` tokens cycled from
+    the pad pool of ``pool`` tokens (``pad_cycles`` whole copies, then its first
+    ``pad_rest``), then ``digest[:summary]``, then ``metadata[:metadata]``.
+    """
+
+    hierarchy: int = 0
+    summary: int = 0
+    metadata: int = 0
+    padding: int = 0
+    pool: int = 1
+
+    @property
+    def length(self) -> int:
+        return self.hierarchy + self.summary + self.metadata + self.padding
+
+    @property
+    def pad_cycles(self) -> int:
+        return self.padding // self.pool
+
+    @property
+    def pad_rest(self) -> int:
+        return self.padding % self.pool
+
+
+def context_layout(sources: ContextSources, chunk_len: int, strat: InjectionStrategy) -> ContextLayout:
+    """Size the context block of a *chunk_len*-token chunk under *strat*.
 
     Static strategies fill hierarchy, then summary (up to the strategy's
-    budget), then metadata (overload only), then pad by cycling the heading
-    path plus the leading digest tokens until the target band is reached.
-    The adaptive strategy stops at its ratio budget with no padding.
+    budget), then metadata (overload only), then pad by cycling the pad pool
+    until the target band is reached. The adaptive strategy stops at its
+    ratio budget with no padding.
     """
+    pool = len(sources.pad_pool)
     if strat.kind == "baseline":
-        return ContextBlock([], [], [])
-
-    base_h = hierarchy_tokens(chunk)
-    digest = document_digest(doc)
-
+        return ContextLayout(pool=pool)
     if strat.kind == "ddai":
-        total = ddai_budget(chunk.length, strat.t_max)
-        h = base_h[:total]
-        s = digest[: min(strat.summary_budget, total - len(h))]
-        return ContextBlock(h, s, [])
+        total = ddai_budget(chunk_len, strat.t_max)
+    else:
+        assert strat.target_cir is not None
+        total = round(strat.target_cir / (1.0 - strat.target_cir) * chunk_len)
+    h = min(len(sources.hierarchy), total)
+    s = min(len(sources.digest), strat.summary_budget, total - h)
+    if strat.kind == "ddai":
+        return ContextLayout(h, s, pool=pool)
+    m = min(len(sources.metadata), total - h - s) if strat.kind == "overload" else 0
+    return ContextLayout(h, s, m, total - h - s - m, pool)
 
-    assert strat.target_cir is not None
-    total = round(strat.target_cir / (1.0 - strat.target_cir) * chunk.length)
-    h = base_h[:total]
-    remaining = total - len(h)
-    s = digest[: min(strat.summary_budget, remaining)]
-    remaining -= len(s)
-    m: list[str] = []
-    if strat.kind == "overload" and remaining > 0:
-        m = metadata_tokens(doc)[:remaining]
-        remaining -= len(m)
-    if remaining > 0:
-        pad_pool = base_h + digest[:_PAD_POOL_DIGEST_TOKENS]
-        if not pad_pool:
-            pad_pool = list(doc.title) or ["context"]
-        h = h + list(islice(cycle(pad_pool), remaining))
-    return ContextBlock(h, s, m)
+
+def build_context(doc: Document, chunk: Chunk, strat: InjectionStrategy) -> ContextBlock:
+    """Assemble the context block for *chunk* under *strat*: its layout, materialized; padding joins the hierarchy."""
+    src = context_sources(doc, chunk)
+    lay = context_layout(src, chunk.length, strat)
+    pad = src.pad_pool * lay.pad_cycles + src.pad_pool[: lay.pad_rest]
+    return ContextBlock(src.hierarchy[: lay.hierarchy] + pad, src.digest[: lay.summary], src.metadata[: lay.metadata])
 
 
 def enrich(chunk: Chunk, context: ContextBlock) -> EnrichedChunk:
@@ -213,4 +259,4 @@ def _enriched_from_record(rec: dict) -> dict:
 
 def read_enriched(path: str | Path) -> list[dict]:
     """Read an enriched dump; returns raw records with parsed chunk ids."""
-    return read_jsonl(path, _enriched_from_record)
+    return read_jsonl(path, _enriched_from_record, unique="chunk_id")

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,8 @@ from cirbench import (
 from cirbench.corpus import SPECIFIC, THEMATIC
 from cirbench.evaluation import CSV_HEADER, parse_report_jsonl, report_csv
 from cirbench.retrieval import Hit
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _hits(ids: list[str], docs: list[str] | None = None, sections: list[int] | None = None) -> list[Hit]:
@@ -305,3 +312,31 @@ def test_report_jsonl_round_trip(tmp_path):
     (path,) = emit_report(report, "jsonl", tmp_path)
     back = parse_report_jsonl(path)
     assert back == report
+
+
+def test_sweeps_sharing_a_dim_each_match_a_fresh_process(small_config, small_corpus):
+    # The sweep caches token-vector sums; a cache that outlived one run_sweep
+    # call would hand the second hash seed the first seed's sums.
+    docs, queries = small_corpus
+
+    def csv(hash_seed: int) -> str:
+        report = run_sweep(docs, queries, all_strategies(), EmbedderConfig(dim=64, hash_seed=hash_seed))
+        return report_csv(report)
+
+    script = (
+        "import sys\n"
+        "from cirbench import CorpusConfig, EmbedderConfig, all_strategies, generate_corpus, run_sweep\n"
+        "from cirbench.evaluation import report_csv\n"
+        f"docs, queries = generate_corpus(CorpusConfig(**{asdict(small_config)!r}))\n"
+        "config = EmbedderConfig(dim=64, hash_seed=int(sys.argv[1]))\n"
+        "sys.stdout.write(report_csv(run_sweep(docs, queries, all_strategies(), config)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    in_process = [csv(5), csv(6)]
+    for hash_seed, got in zip((5, 6), in_process):
+        argv = [sys.executable, "-c", script, str(hash_seed)]
+        fresh = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+        assert got == fresh.stdout
+    assert in_process[0] != in_process[1]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import fields
+from itertools import cycle, islice
 
 import pytest
 
@@ -20,8 +21,18 @@ from cirbench import (
 )
 from cirbench.chunking import Chunk
 from cirbench.corpus import Document, Section
+from cirbench.embedding import Embedder, EmbedderConfig
 from cirbench.errors import ConfigError
-from cirbench.injection import read_enriched, write_enriched
+from cirbench.evaluation import EnrichedSums
+from cirbench.injection import (
+    context_layout,
+    context_sources,
+    document_digest,
+    hierarchy_tokens,
+    metadata_tokens,
+    read_enriched,
+    write_enriched,
+)
 
 
 def _doc_and_chunk(n_tokens: int, heading_path: list[str]) -> tuple[Document, Chunk]:
@@ -224,3 +235,79 @@ def test_ddai_local_dominance(small_config, small_corpus):
         for c in chunk_document(d, small_config.chunk_token_target):
             e = enrich(c, build_context(doc_by_id[c.doc_id], c, strat))
             assert 1.0 - e.cir >= 0.65
+
+
+def _reference_block(doc: Document, chunk: Chunk, strat: InjectionStrategy) -> ContextBlock:
+    """The block built token by token: a reference for build_context that shares none of its sizing code."""
+    if strat.kind == "baseline":
+        return ContextBlock([], [], [])
+    base_h = hierarchy_tokens(chunk)
+    digest = document_digest(doc)
+    if strat.kind == "ddai":
+        total = ddai_budget(chunk.length, strat.t_max)
+        h = base_h[:total]
+        return ContextBlock(h, digest[: min(strat.summary_budget, total - len(h))], [])
+    total = round(strat.target_cir / (1.0 - strat.target_cir) * chunk.length)
+    h = base_h[:total]
+    remaining = total - len(h)
+    s = digest[: min(strat.summary_budget, remaining)]
+    remaining -= len(s)
+    m = metadata_tokens(doc)[:remaining] if strat.kind == "overload" and remaining > 0 else []
+    remaining -= len(m)
+    if remaining > 0:
+        pad_pool = base_h + digest[:40] or list(doc.title) or ["context"]
+        h = h + list(islice(cycle(pad_pool), remaining))
+    return ContextBlock(h, s, m)
+
+
+def _layout_corpus() -> tuple[list[Document], list[Chunk]]:
+    """Chunks of many lengths, plus two chunks whose documents leave the pad pool empty."""
+    docs, chunks = [], []
+    for d, body_lengths in enumerate(((45, 130), (20, 75, 260, 41, 333, 96))):
+        sections = [
+            Section([f"part {d} {i}", f"clause {i} s{i:02d}"], [f"w{(j * 31 + i) % 97}" for j in range(n)], [])
+            for i, n in enumerate(body_lengths)
+        ]
+        doc = Document(f"technical-{d:04d}", "technical", ["alpha", "beta"], sections)
+        docs.append(doc)
+        chunks.extend(c for target in (16, 37, 250) for c in chunk_document(doc, target))
+    for d, title in ((2, ["lone", "title"]), (3, [])):
+        doc = Document(f"normative-{d:04d}", "normative", title, [Section([], [], [])])
+        docs.append(doc)
+        chunks.append(Chunk(make_chunk_id(doc.doc_id, 0, 0), doc.doc_id, 0, [], [f"x{i}" for i in range(60)]))
+    return docs, chunks
+
+
+def test_layout_reproduces_token_built_blocks_and_sweep_sums_reproduce_embeddings():
+    docs, chunks = _layout_corpus()
+    doc_by_id = {d.doc_id: d for d in docs}
+    embedder = Embedder(EmbedderConfig(dim=64, hash_seed=9))
+    sums = EnrichedSums(chunks, doc_by_id, embedder)
+    reached = set()
+    for strat in all_strategies():
+        enriched = []
+        for c in chunks:
+            doc = doc_by_id[c.doc_id]
+            src = context_sources(doc, c)
+            lay = context_layout(src, c.length, strat)
+            ctx = build_context(doc, c, strat)
+            assert ctx == _reference_block(doc, c, strat)
+            assert (lay.length, lay.summary, lay.metadata) == (
+                ctx.length, len(ctx.summary_tokens), len(ctx.metadata_tokens)
+            )
+            enriched.append(enrich(c, ctx))
+            if lay.pad_cycles >= 1:
+                reached.add("full pad cycle")
+            if 0 < lay.metadata < len(src.metadata):
+                reached.add("metadata cut")
+            unbounded = min(len(src.hierarchy) + len(src.digest), lay.hierarchy + strat.summary_budget)
+            if strat.kind == "ddai" and lay.length < unbounded:
+                reached.add("ddai budget cut")
+            if lay.padding and not src.hierarchy and not src.digest:
+                reached.add(f"pad pool {src.pad_pool}")
+        vectors, cirs = sums.vectors(strat)
+        assert vectors.tobytes() == embedder.embed_many([e.tokens for e in enriched]).tobytes()
+        assert cirs == [e.cir for e in enriched]
+    assert reached == {
+        "full pad cycle", "metadata cut", "ddai budget cut", "pad pool ['lone', 'title']", "pad pool ['context']"
+    }

@@ -66,6 +66,17 @@ def test_bad_record_raises_with_line_number(tmp_path, small_corpus, kind, bad_li
         _READERS[kind](path)
 
 
+@pytest.mark.parametrize("kind, field", [("corpus", "doc_id"), ("chunks", "chunk_id"), ("enriched", "chunk_id")])
+def test_repeated_id_raises_with_both_line_numbers(tmp_path, small_corpus, kind, field):
+    path = tmp_path / f"{kind}.jsonl"
+    _write(kind, path, small_corpus)
+    lines = path.read_text().splitlines()
+    lines.insert(len(lines) - 1, lines[1])  # the first record again, before the corpus's query block
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusFormatError, match=f"{path}: line {len(lines) - 1}: repeated {field} .*first on line 2"):
+        _READERS[kind](path)
+
+
 def test_atomic_write_ignores_stale_tmp_directory(tmp_path):
     path = tmp_path / "vectors.cirx"
     (tmp_path / "vectors.cirx.tmp").mkdir()
