@@ -8,7 +8,8 @@ ratio, thematic recall overtakes specific recall past it, and intra-document
 vectors homogenize.
 """
 
-# Set before the submodule imports: the sweep digest reads it.
+# The one version string: pyproject.toml reads it, and so does the sweep
+# digest, which is why it is set before the submodule imports.
 __version__ = "0.1.0"
 
 from .chunking import Chunk, chunk_document, make_chunk_id, parse_chunk_id, tokenize

@@ -9,11 +9,12 @@ own an artifact supply only the mapping between a record and an object.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
 
 from .errors import CorpusFormatError
 
@@ -26,18 +27,19 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Replace *path* with *data*: a crash leaves the old file or the new one.
+@contextlib.contextmanager
+def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary handle whose bytes replace *path* on exit: a crash leaves the old file or the new one.
 
     The bytes go to a unique temp file in the target's directory, are
     fsynced, then renamed over the target. The temp file is removed if any
-    step fails.
+    step fails, the caller's writes included.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            yield handle
             handle.flush()
             os.fsync(handle.fileno())
         # mkstemp creates the file 0600; give it the mode a plain open() would.
@@ -49,19 +51,29 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Replace *path* with *data*: a crash leaves the old file or the new one."""
+    with _atomic_file(path) as handle:
+        handle.write(data)
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def encode_jsonl(records: Iterable[dict], header: dict | None = None) -> str:
-    """One JSON object per line, led by a ``run_config`` record when *header* is given."""
-    lines = [] if header is None else [json.dumps({"type": "run_config", **header})]
-    lines.extend(json.dumps(rec) for rec in records)
-    return "\n".join(lines) + "\n"
-
-
 def write_jsonl(path: str | Path, records: Iterable[dict], header: dict | None = None) -> None:
-    atomic_write_text(path, encode_jsonl(records, header))
+    """Write one JSON object per line, led by a ``run_config`` record when *header* is given.
+
+    Records are encoded and written one at a time, through ``_atomic_file``.
+    """
+    if header is not None:
+        records = itertools.chain([{"type": "run_config", **header}], records)
+    with _atomic_file(path) as handle:
+        separator = b""
+        for rec in records:
+            handle.write(separator + json.dumps(rec).encode("utf-8"))
+            separator = b"\n"
+        handle.write(b"\n")
 
 
 def _lines(path: str | Path) -> Iterator[tuple[int, str]]:

@@ -54,6 +54,8 @@ def make_chunk_id(doc_id: str, section_index: int, offset: int) -> str:
 
 def parse_chunk_id(chunk_id: str) -> tuple[str, int, int]:
     """Recover (doc_id, section_index, token offset) from a chunk id."""
+    if not isinstance(chunk_id, str):
+        raise ValueError(f"chunk id must be a string, got {chunk_id!r}")
     doc_id, sec, off = chunk_id.rsplit(":", 2)
     if not sec.startswith("s") or not off.startswith("t"):
         raise ValueError(f"malformed chunk id: {chunk_id!r}")

@@ -22,16 +22,11 @@ from pathlib import Path
 from ._hash import fork_seed
 from ._io import read_run_config
 from .chunking import chunk_document, read_chunks, tokenize, write_chunks
-from .corpus import (
-    CorpusConfig,
-    deserialize_corpus,
-    generate_corpus,
-    serialize_corpus,
-)
+from .corpus import CorpusConfig, deserialize_corpus, generate_corpus, serialize_corpus, split_doc_count
 from .embedding import EmbedderConfig, get_embedder
 from .errors import CirbenchError, ConfigError, FormatError
 from .evaluation import emit_report, parse_report_jsonl, report_csv, run_sweep
-from .injection import STRATEGY_KINDS, build_context, enrich, read_enriched, strategy, write_enriched
+from .injection import STRATEGY_KINDS, InjectionStrategy, build_context, enrich, read_enriched, write_enriched
 from .retrieval import build_index, load_index, save_index, search
 
 EXIT_OK = 0
@@ -40,19 +35,22 @@ EXIT_USAGE = 2
 EXIT_MISSING = 3
 EXIT_FORMAT = 4
 
-# Every configurable value: name -> (type, default, help). Each is a flag,
-# a config-file key and a provenance entry; this order is the order of the
-# provenance header written into every artifact.
+_CORPUS = CorpusConfig()
+
+# Every configurable value: name -> (type, default, help; "{}" shows the
+# default). Each is a flag, a config-file key and a provenance entry; this
+# order is the order of the provenance header written into every artifact.
+# The defaults are those of the library objects the values configure.
 _FIELDS = {
-    "seed": (int, 42, "top-level seed (default 42)"),
-    "docs": (int, 50, "total document count, split 30/40/30 across typologies"),
-    "dim": (int, 256, "embedding dimension (default 256)"),
+    "seed": (int, _CORPUS.seed, "top-level seed (default {})"),
+    "docs": (int, sum(_CORPUS.doc_counts.values()), "total document count, split 30/40/30 across typologies"),
+    "dim": (int, EmbedderConfig.dim, "embedding dimension (default {})"),
     "hash_seed": (int, None, "embedder hash seed (default: forked from --seed)"),
-    "chunk_target": (int, 250, "chunk window size in tokens (default 250)"),
-    "queries": (int, 200, "ground-truth query count (default 200)"),
-    "specific_fraction": (float, 0.5, "share of specific queries (default 0.5)"),
-    "t_max": (float, 0.35, "adaptive-injection ratio threshold (default 0.35)"),
-    "strategies": (str, "baseline,low,medium,high,overload,ddai", "comma-separated strategy kinds"),
+    "chunk_target": (int, _CORPUS.chunk_token_target, "chunk window size in tokens (default {})"),
+    "queries": (int, _CORPUS.query_count, "ground-truth query count (default {})"),
+    "specific_fraction": (float, _CORPUS.specific_fraction, "share of specific queries (default {})"),
+    "t_max": (float, InjectionStrategy.t_max, "adaptive-injection ratio threshold (default {})"),
+    "strategies": (str, ",".join(STRATEGY_KINDS), "comma-separated strategy kinds"),
 }
 
 
@@ -112,20 +110,10 @@ def _resolve(args: argparse.Namespace, inherit_from: str | None = None) -> dict:
     return resolved
 
 
-def _doc_counts(total: int) -> dict[str, int]:
-    normative = round(total * 0.3)
-    technical = round(total * 0.4)
-    return {
-        "normative": normative,
-        "technical": technical,
-        "transactional": total - normative - technical,
-    }
-
-
 def _corpus_config(resolved: dict) -> CorpusConfig:
     return CorpusConfig(
         seed=resolved["seed"],
-        doc_counts=_doc_counts(resolved["docs"]),
+        doc_counts=split_doc_count(resolved["docs"]),
         chunk_token_target=resolved["chunk_target"],
         query_count=resolved["queries"],
         specific_fraction=resolved["specific_fraction"],
@@ -163,7 +151,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
     missing = sorted({c.doc_id for c in chunks if c.doc_id not in doc_by_id})
     if missing:
         raise FormatError(f"{args.chunks}: chunks reference unknown documents {missing[:3]}")
-    strat = strategy(args.strategy, resolved["t_max"])
+    strat = InjectionStrategy(args.strategy, resolved["t_max"])
     enriched = [enrich(c, build_context(doc_by_id[c.doc_id], c, strat)) for c in chunks]
     write_enriched(enriched, strat.kind, args.out, header=_provenance(resolved))
     print(f"wrote {len(enriched)} enriched chunks ({strat.kind}) to {args.out}")
@@ -202,7 +190,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
-    strategies = [strategy(kind, resolved["t_max"]) for kind in resolved["strategies"]]
+    strategies = [InjectionStrategy(kind, resolved["t_max"]) for kind in resolved["strategies"]]
     embed_config = EmbedderConfig(dim=resolved["dim"], hash_seed=resolved["hash_seed"])
     docs, queries = generate_corpus(_corpus_config(resolved))
     report = run_sweep(docs, queries, strategies, embed_config, chunk_target=resolved["chunk_target"])
@@ -223,8 +211,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def _add_config_flags(parser: argparse.ArgumentParser, *names: str) -> None:
     for name in names:
-        kind, _, help_text = _FIELDS[name]
-        parser.add_argument(f"--{name.replace('_', '-')}", dest=name, type=kind, default=None, help=help_text)
+        kind, default, help_text = _FIELDS[name]
+        parser.add_argument(
+            f"--{name.replace('_', '-')}", dest=name, type=kind, default=None, help=help_text.format(default)
+        )
     parser.add_argument("--config", default=None, help="key = value config file; flags override it")
 
 

@@ -23,7 +23,7 @@ from typing import Iterable
 
 from ._hash import fork_seed
 from ._io import read_jsonl, write_jsonl
-from .chunking import make_chunk_id
+from .chunking import MIN_CHUNK_TARGET, make_chunk_id
 from .errors import ConfigError, CorpusFormatError
 
 TYPOLOGIES = ("normative", "technical", "transactional")
@@ -31,10 +31,18 @@ TYPOLOGIES = ("normative", "technical", "transactional")
 SPECIFIC = "specific"
 THEMATIC = "thematic"
 
-# Layout knobs shared by the generator, the injection digest and the tests.
+# Layout constants shared by the generator, the injection digest and the tests.
 THEMES_PER_DOC = 8
 THEMES_PER_WINDOW = 5
 KEY_REPEATS = 4
+
+# The corpus's fixed shape: sections per document and planted facts per
+# section (inclusive ranges), fresh topic words per document, and the
+# background pool every document shares.
+_SECTIONS_PER_DOC = (5, 9)
+_FACTS_PER_SECTION = (1, 3)
+_VOCAB_TOPIC_SIZE = 160
+_VOCAB_SHARED_SIZE = 1400
 
 # Full windows per section, by typology; mirrors the relative page densities
 # of the three document styles (tables linearize to the longest runs).
@@ -52,19 +60,20 @@ _CONSONANTS = "bcdfghjklmnpqrstvwz"
 _VOWELS = "aeiou"
 
 
+def split_doc_count(total: int) -> dict[str, int]:
+    """*total* documents split 30/40/30 across the typologies, the remainder to the last."""
+    normative = round(total * 0.3)
+    technical = round(total * 0.4)
+    return {"normative": normative, "technical": technical, "transactional": total - normative - technical}
+
+
 @dataclass(frozen=True)
 class CorpusConfig:
     """Configuration for the synthetic corpus; a pure function of `seed`."""
 
     seed: int = 42
-    doc_counts: dict[str, int] = field(
-        default_factory=lambda: {"normative": 15, "technical": 20, "transactional": 15}
-    )
-    sections_per_doc: tuple[int, int] = (5, 9)
+    doc_counts: dict[str, int] = field(default_factory=lambda: split_doc_count(50))
     chunk_token_target: int = 250
-    facts_per_section: tuple[int, int] = (1, 3)
-    vocab_topic_size: int = 160
-    vocab_shared_size: int = 1400
     query_count: int = 200
     specific_fraction: float = 0.5
 
@@ -76,18 +85,8 @@ class CorpusConfig:
             raise ConfigError("doc_counts: counts must be >= 0")
         if sum(self.doc_counts.values()) < 1:
             raise ConfigError("doc_counts: at least one document is required")
-        lo, hi = self.sections_per_doc
-        if not (1 <= lo <= hi):
-            raise ConfigError("sections_per_doc: need 1 <= lo <= hi")
-        if self.chunk_token_target < 16:
-            raise ConfigError("chunk_token_target: must be >= 16")
-        flo, fhi = self.facts_per_section
-        if not (1 <= flo <= fhi):
-            raise ConfigError("facts_per_section: need 1 <= lo <= hi")
-        if self.vocab_topic_size < THEMES_PER_DOC + 8:
-            raise ConfigError(f"vocab_topic_size: must be >= {THEMES_PER_DOC + 8}")
-        if self.vocab_shared_size < 1:
-            raise ConfigError("vocab_shared_size: must be >= 1")
+        if self.chunk_token_target < MIN_CHUNK_TARGET:
+            raise ConfigError(f"chunk_token_target: must be >= {MIN_CHUNK_TARGET}")
         if self.query_count < 0:
             raise ConfigError("query_count: must be >= 0")
         if not (0.0 <= self.specific_fraction <= 1.0):
@@ -207,7 +206,7 @@ def _build_document(
     title = themes[:3]
     title_str = " ".join(title)
 
-    n_sections = rng.randint(*config.sections_per_doc)
+    n_sections = rng.randint(*_SECTIONS_PER_DOC)
     slice_size = max(4, len(section_pool) // n_sections)
 
     repeats = min(KEY_REPEATS, max(1, (target - THEMES_PER_WINDOW - 6) // 4))
@@ -239,7 +238,7 @@ def _build_document(
         statements: list[list[list[str]]] = [[] for _ in lengths]
         capacity = [L - THEMES_PER_WINDOW for L in lengths]
         facts: list[Fact] = []
-        for _ in range(rng.randint(*config.facts_per_section)):
+        for _ in range(rng.randint(*_FACTS_PER_SECTION)):
             phrase = _key_phrase(rng, key_counter)
             stmt = _make_statement(rng, phrase, section_words, shared, repeats)
             candidates = [w for w, cap in enumerate(capacity) if cap >= len(stmt) + 2]
@@ -288,7 +287,7 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Document], list[QuerySpe
     config.validate()
     vocab_rng = random.Random(fork_seed(config.seed, "vocab"))
     used: set[str] = set()
-    shared = _fresh_words(vocab_rng, config.vocab_shared_size, used)
+    shared = _fresh_words(vocab_rng, _VOCAB_SHARED_SIZE, used)
 
     docs: list[Document] = []
     fact_pool: list[tuple[Fact, Document, str]] = []
@@ -299,7 +298,7 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Document], list[QuerySpe
 
     for typology in TYPOLOGIES:
         for i in range(int(config.doc_counts.get(typology, 0))):
-            topic_words = _fresh_words(vocab_rng, config.vocab_topic_size, used)
+            topic_words = _fresh_words(vocab_rng, _VOCAB_TOPIC_SIZE, used)
             doc_rng = random.Random(fork_seed(config.seed, f"doc:{typology}:{i}"))
             doc_id = f"{typology}-{i:04d}"
             doc, records, chunk_ids, coverage, key_counter = _build_document(

@@ -26,15 +26,26 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from ._io import atomic_write_text, encode_jsonl, read_jsonl
+from ._io import atomic_write_text, read_jsonl, write_jsonl
 from .chunking import Chunk, chunk_document, parse_chunk_id
-from .corpus import SPECIFIC, Document, QuerySpec, corpus_records
+from .corpus import SPECIFIC, CorpusConfig, Document, QuerySpec, corpus_records
 from .embedding import Embedder, EmbedderConfig, get_embedder, unit
 from .errors import ConfigError
 from .injection import ContextSources, InjectionStrategy, compute_cir, context_layout, context_sources
 from .retrieval import Hit, build_index, search
 
-CSV_HEADER = "strategy,mean_cir,ndcg10,recall5_specific,recall5_thematic,homogenization,wrong_section_share"
+# The report's columns in file order, each with the MetricRow field it holds: the
+# strategy first, then five measures, then the one that may be null.
+_COLUMNS = {
+    "strategy": "strategy",
+    "mean_cir": "mean_cir",
+    "ndcg10": "ndcg_at_10",
+    "recall5_specific": "recall5_specific",
+    "recall5_thematic": "recall5_thematic",
+    "homogenization": "homogenization",
+    "wrong_section_share": "wrong_section_share",
+}
+CSV_HEADER = ",".join(_COLUMNS)
 
 # The protocol the column names state; thematic recall dedups by document, so it reads past the top RECALL_K hits.
 NDCG_K, RECALL_K, SEARCH_DEPTH = 10, 5, 100
@@ -266,15 +277,26 @@ def run_sweep(
     strategies: Sequence[InjectionStrategy],
     embed_config: EmbedderConfig,
     *,
-    chunk_target: int = 250,
+    chunk_target: int = CorpusConfig.chunk_token_target,
 ) -> SweepReport:
-    """Run the full pipeline for every strategy; rows sorted by mean ratio."""
+    """Run the full pipeline for every strategy; rows sorted by mean ratio.
+
+    *chunk_target* must be the ``chunk_token_target`` the corpus was
+    generated with: the queries' gold ids name chunks at that size.
+    """
     if not documents or not queries:
         raise ConfigError("run_sweep needs a non-empty corpus and query set")
     embedder = get_embedder(embed_config)
     chunks: list[Chunk] = []
     for doc in documents:
         chunks.extend(chunk_document(doc, chunk_target))
+    chunk_ids = {chunk.chunk_id for chunk in chunks}
+    for query in queries:
+        if not query.gold_chunk_ids <= chunk_ids:
+            raise ConfigError(
+                f"chunk_target {chunk_target}: query {query.query_id} names gold chunks that this corpus"
+                " does not have at that size; pass the corpus's chunk_token_target"
+            )
     query_vectors = embedder.embed_many([q.text for q in queries])
     sums = EnrichedSums(chunks, {doc.doc_id: doc for doc in documents}, embedder)
 
@@ -288,23 +310,16 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else repr(float(value))
 
 
+def _values(row: MetricRow) -> list:
+    return [getattr(row, name) for name in _COLUMNS.values()]
+
+
 def report_csv(report: SweepReport, header: dict | None = None) -> str:
     """The metric table; with the run's provenance *header*, a flags and a config comment line follow it."""
     lines = [CSV_HEADER]
     for r in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    r.strategy,
-                    _fmt(r.mean_cir),
-                    _fmt(r.ndcg_at_10),
-                    _fmt(r.recall5_specific),
-                    _fmt(r.recall5_thematic),
-                    _fmt(r.homogenization),
-                    _fmt(r.wrong_section_share),
-                ]
-            )
-        )
+        strategy, *measures = _values(r)
+        lines.append(",".join([strategy, *map(_fmt, measures)]))
     if header is not None:
         cross = report.flags.curve_cross_cir
         lines.append(
@@ -315,27 +330,14 @@ def report_csv(report: SweepReport, header: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_jsonl(report: SweepReport, header: dict | None = None) -> str:
-    """The report as JSON Lines: a sweep record, one record per row, then the flags."""
-    rows = [
-        {
-            "type": "row",
-            "strategy": r.strategy,
-            "mean_cir": r.mean_cir,
-            "ndcg10": r.ndcg_at_10,
-            "recall5_specific": r.recall5_specific,
-            "recall5_thematic": r.recall5_thematic,
-            "homogenization": r.homogenization,
-            "wrong_section_share": r.wrong_section_share,
-        }
-        for r in report.rows
+def _report_records(report: SweepReport) -> list[dict]:
+    """The report's JSONL records: a sweep record, one record per row, then the flags."""
+    flags = report.flags
+    return [
+        {"type": "sweep", "config_digest": report.config_digest},
+        *({"type": "row", **dict(zip(_COLUMNS, _values(r)))} for r in report.rows),
+        {"type": "flags", "inverted_u": flags.inverted_u, "curve_cross_cir": flags.curve_cross_cir},
     ]
-    flags = {
-        "type": "flags",
-        "inverted_u": report.flags.inverted_u,
-        "curve_cross_cir": report.flags.curve_cross_cir,
-    }
-    return encode_jsonl([{"type": "sweep", "config_digest": report.config_digest}, *rows, flags], header)
 
 
 def _optional_float(value) -> float | None:
@@ -347,15 +349,8 @@ def _from_record(rec: dict) -> str | MetricRow | SweepFlags:
     if kind == "sweep":
         return str(rec["config_digest"])
     if kind == "row":
-        return MetricRow(
-            strategy=rec["strategy"],
-            mean_cir=float(rec["mean_cir"]),
-            ndcg_at_10=float(rec["ndcg10"]),
-            recall5_specific=float(rec["recall5_specific"]),
-            recall5_thematic=float(rec["recall5_thematic"]),
-            homogenization=float(rec["homogenization"]),
-            wrong_section_share=_optional_float(rec["wrong_section_share"]),
-        )
+        strategy, *measures, share = (rec[column] for column in _COLUMNS)
+        return MetricRow(strategy, *map(float, measures), _optional_float(share))
     if kind == "flags":
         return SweepFlags(bool(rec["inverted_u"]), _optional_float(rec["curve_cross_cir"]))
     raise ValueError(f"unknown record type {kind!r}")
@@ -389,7 +384,7 @@ def emit_report(report: SweepReport, fmt: str, out_dir: str | Path, header: dict
         written.append(path)
     elif fmt == "jsonl":
         path = out_dir / "sweep.jsonl"
-        atomic_write_text(path, report_jsonl(report, header))
+        write_jsonl(path, _report_records(report), header)
         written.append(path)
     elif fmt == "plotdata":
         for r in report.rows:

@@ -84,13 +84,12 @@ class InjectionStrategy:
         return _TARGET_CIR.get(self.kind)
 
 
-def strategy(kind: str, t_max: float = 0.35) -> InjectionStrategy:
-    """Build one of the named strategies; its budgets are the kind's presets."""
-    return InjectionStrategy(kind, t_max)
+strategy = InjectionStrategy  # ``strategy(kind, t_max)`` builds one of the named strategies
 
 
-def all_strategies(t_max: float = 0.35) -> list[InjectionStrategy]:
-    return [strategy(kind, t_max) for kind in STRATEGY_KINDS]
+def all_strategies(t_max: float = InjectionStrategy.t_max) -> list[InjectionStrategy]:
+    """Every named strategy, in ``STRATEGY_KINDS`` order."""
+    return [InjectionStrategy(kind, t_max) for kind in STRATEGY_KINDS]
 
 
 @dataclass

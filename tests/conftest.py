@@ -10,7 +10,6 @@ def small_config() -> CorpusConfig:
     return CorpusConfig(
         seed=7,
         doc_counts={"normative": 2, "technical": 2, "transactional": 2},
-        sections_per_doc=(3, 5),
         query_count=40,
     )
 

@@ -19,9 +19,11 @@ from cirbench import (
     strategy,
 )
 from cirbench._hash import fork_seed
+from cirbench._io import read_run_config
 from cirbench.cli import EXIT_FORMAT, EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
-from cirbench.corpus import SPECIFIC
+from cirbench.corpus import SPECIFIC, split_doc_count
 from cirbench.errors import IndexFormatError
+from cirbench.injection import STRATEGY_KINDS
 from cirbench.retrieval import save_index
 
 SMALL = ["--docs", "6", "--queries", "24", "--seed", "11"]
@@ -41,6 +43,25 @@ def test_gen_idempotent(tmp_path):
     first = out.read_bytes()
     assert main(["gen", *SMALL, "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == first
+
+
+def test_gen_run_config_is_the_library_defaults(tmp_path):
+    out = tmp_path / "corpus.jsonl"
+    assert main(["gen", "--out", str(out)]) == EXIT_OK
+    corpus = CorpusConfig()
+    header = read_run_config(out)
+    assert split_doc_count(header["docs"]) == corpus.doc_counts
+    assert header == {
+        "seed": corpus.seed,
+        "docs": sum(corpus.doc_counts.values()),
+        "dim": EmbedderConfig().dim,
+        "hash_seed": fork_seed(corpus.seed, "embed") % (1 << 62),
+        "chunk_target": corpus.chunk_token_target,
+        "queries": corpus.query_count,
+        "specific_fraction": corpus.specific_fraction,
+        "t_max": strategy("ddai").t_max,
+        "strategies": ",".join(STRATEGY_KINDS),
+    }
 
 
 def test_pipeline_stages_compose(tmp_path, capsys):

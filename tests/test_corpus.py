@@ -27,8 +27,6 @@ def test_minimal_corpus():
     cfg = CorpusConfig(
         seed=1,
         doc_counts={"normative": 1, "technical": 0, "transactional": 0},
-        sections_per_doc=(1, 1),
-        facts_per_section=(1, 1),
         query_count=4,
     )
     docs, queries = generate_corpus(cfg)
@@ -165,11 +163,5 @@ def test_config_validation_names_field():
         CorpusConfig(doc_counts={"normative": 0, "technical": 0, "transactional": 0}).validate()
     with pytest.raises(ConfigError, match="chunk_token_target"):
         CorpusConfig(chunk_token_target=8).validate()
-    with pytest.raises(ConfigError, match="sections_per_doc"):
-        CorpusConfig(sections_per_doc=(3, 2)).validate()
-    with pytest.raises(ConfigError, match="facts_per_section"):
-        CorpusConfig(facts_per_section=(0, 2)).validate()
     with pytest.raises(ConfigError, match="specific_fraction"):
         CorpusConfig(specific_fraction=1.5).validate()
-    with pytest.raises(ConfigError, match="vocab_topic_size"):
-        CorpusConfig(vocab_topic_size=4).validate()

@@ -30,6 +30,7 @@ from cirbench import (
     wrong_section_share,
 )
 from cirbench.corpus import SPECIFIC, THEMATIC
+from cirbench.errors import ConfigError
 from cirbench.evaluation import CSV_HEADER, parse_report_jsonl, report_csv
 from cirbench.retrieval import Hit
 
@@ -244,6 +245,18 @@ def test_run_sweep_static_rows_strictly_increasing(small_config, small_corpus):
         assert 0.0 <= r.mean_cir < 1.0
         assert 0.0 <= r.ndcg_at_10 <= 1.0
         assert 0.0 <= r.homogenization <= 1.0
+
+
+def test_run_sweep_rejects_a_chunk_target_the_corpus_was_not_built_at():
+    cfg = CorpusConfig(
+        seed=3,
+        doc_counts={"normative": 3, "technical": 3, "transactional": 3},
+        chunk_token_target=120,
+        query_count=40,
+    )
+    docs, queries = generate_corpus(cfg)
+    with pytest.raises(ConfigError, match="chunk_target 250: query q-"):
+        run_sweep(docs, queries, [strategy("baseline")], EmbedderConfig(dim=64, hash_seed=3), chunk_target=250)
 
 
 def test_config_digest_covers_corpus_and_search_inputs():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import os
+import re
 import stat
 
 import pytest
@@ -74,6 +76,18 @@ def test_repeated_id_raises_with_both_line_numbers(tmp_path, small_corpus, kind,
     lines.insert(len(lines) - 1, lines[1])  # the first record again, before the corpus's query block
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusFormatError, match=f"{path}: line {len(lines) - 1}: repeated {field} .*first on line 2"):
+        _READERS[kind](path)
+
+
+@pytest.mark.parametrize("kind", ["chunks", "enriched"])
+def test_non_string_chunk_id_is_a_format_error(tmp_path, small_corpus, kind):
+    path = tmp_path / f"{kind}.jsonl"
+    _write(kind, path, small_corpus)
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), "chunk_id": 5})
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}: line 2: bad record (ValueError: chunk id must be a string, got 5)"
+    with pytest.raises(CorpusFormatError, match=re.escape(message)):
         _READERS[kind](path)
 
 
