@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from ._io import atomic_write_text, read_jsonl, write_jsonl
 from .chunking import Chunk, chunk_document, parse_chunk_id
-from .corpus import SPECIFIC, CorpusConfig, Document, QuerySpec, corpus_records
+from .corpus import SPECIFIC, THEMATIC, CorpusConfig, Document, QuerySpec, corpus_records
 from .embedding import Embedder, EmbedderConfig, get_embedder, unit
 from .errors import ConfigError
 from .injection import ContextSources, InjectionStrategy, compute_cir, context_layout, context_sources
@@ -291,11 +291,17 @@ def run_sweep(
     for doc in documents:
         chunks.extend(chunk_document(doc, chunk_target))
     chunk_ids = {chunk.chunk_id for chunk in chunks}
+    doc_chunk_ids: dict[str, set[str]] = {}
+    for chunk in chunks:
+        doc_chunk_ids.setdefault(chunk.doc_id, set()).add(chunk.chunk_id)
     for query in queries:
-        if not query.gold_chunk_ids <= chunk_ids:
+        # A thematic gold set is its document's chunks, so it also catches a
+        # target that divides the corpus's: those gold ids exist, but too few.
+        not_whole_doc = query.intent == THEMATIC and query.gold_chunk_ids != doc_chunk_ids.get(query.gold_doc_id)
+        if not_whole_doc or not query.gold_chunk_ids <= chunk_ids:
             raise ConfigError(
-                f"chunk_target {chunk_target}: query {query.query_id} names gold chunks that this corpus"
-                " does not have at that size; pass the corpus's chunk_token_target"
+                f"chunk_target {chunk_target}: query {query.query_id} names gold chunks other than the ones"
+                " this corpus has at that size; pass the corpus's chunk_token_target"
             )
     query_vectors = embedder.embed_many([q.text for q in queries])
     sums = EnrichedSums(chunks, {doc.doc_id: doc for doc in documents}, embedder)

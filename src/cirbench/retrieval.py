@@ -1,9 +1,12 @@
 """Exact cosine kNN over unit vectors, with binary persistence.
 
-Search is a full scan: the score vector is one float64 matrix-vector
+Search scores every row: the score vector is one float64 matrix-vector
 product of the index's vectors (32-bit values, exactly widened) against
-the query, ties broken by ascending chunk id, so equal index plus equal
-query always yields the same ranking.
+the query. Only the rows that can reach the top k are sorted: a partition
+finds the k-th score, and the rows scoring at least that much are ordered
+by descending score, ties broken by ascending chunk id. The result equals
+a sort of every row, so equal index plus equal query always yields the
+same ranking.
 
 File format (all integers little-endian): magic ``CIRX``, version u16
 (2), dim u32, count u64, the embedder's hash seed u64; per entry a
@@ -70,7 +73,7 @@ class VectorIndex:
             dupe = next(ids[a] for a, b in zip(order, order[1:]) if ids[a] == ids[b])
             raise IndexValidationError(f"duplicate chunk_id {dupe!r}")
         norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
-        bad = np.flatnonzero(np.abs(norms - 1.0) > _UNIT_TOL)
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= _UNIT_TOL))  # a NaN norm fails too
         if bad.size:
             first = int(bad[0])
             raise IndexValidationError(f"non-unit vector at {ids[first]!r} (norm {norms[first]:.6f})")
@@ -104,7 +107,11 @@ def build_index(
 
 
 def search(index: VectorIndex, query: np.ndarray, k: int) -> list[Hit]:
-    """Exact top-k by cosine score; ties broken by ascending chunk id."""
+    """Exact top-k by cosine score; ties broken by ascending chunk id.
+
+    A query of the wrong shape, or holding a NaN or infinite value, raises
+    IndexValidationError.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if index.count == 0:
@@ -112,8 +119,14 @@ def search(index: VectorIndex, query: np.ndarray, k: int) -> list[Hit]:
     q = np.asarray(query, dtype=np.float64)
     if q.shape != (index.dim,):
         raise IndexValidationError(f"query dimension {q.shape} does not match index ({index.dim},)")
+    if not np.isfinite(q).all():
+        raise IndexValidationError("query vector holds a NaN or infinite value")
     scores = index.vectors @ q
-    order = np.lexsort((index._id_rank, -scores))[:k]
+    n = index.count
+    # Every row outside the candidates scores strictly below the k-th score,
+    # so sorting the candidates alone gives the full sort's first k rows.
+    rows = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k]) if k < n else np.arange(n)
+    order = rows[np.lexsort((index._id_rank[rows], -scores[rows]))][:k]
     return [
         Hit(index.chunk_ids[i], index.doc_ids[i], index.section_indexes[i], float(scores[i]))
         for i in map(int, order)

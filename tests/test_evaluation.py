@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +257,11 @@ def test_run_sweep_rejects_a_chunk_target_the_corpus_was_not_built_at():
     docs, queries = generate_corpus(cfg)
     with pytest.raises(ConfigError, match="chunk_target 250: query q-"):
         run_sweep(docs, queries, [strategy("baseline")], EmbedderConfig(dim=64, hash_seed=3), chunk_target=250)
+    # A target that divides the corpus's keeps every gold id, but a thematic
+    # gold set then misses chunks of its document.
+    docs, queries = generate_corpus(replace(cfg, chunk_token_target=250))
+    with pytest.raises(ConfigError, match="chunk_target 125: query q-them-"):
+        run_sweep(docs, queries, [strategy("baseline")], EmbedderConfig(dim=64, hash_seed=3), chunk_target=125)
 
 
 def test_config_digest_covers_corpus_and_search_inputs():

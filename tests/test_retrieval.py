@@ -62,6 +62,8 @@ def test_dim_mismatch_rejected():
 def test_non_unit_vector_rejected():
     with pytest.raises(IndexValidationError, match="non-unit"):
         build_index([("a", "d", 0, np.full(8, 0.5))])
+    with pytest.raises(IndexValidationError, match="non-unit"):
+        build_index([("a", "d", 0, np.full(8, np.nan))])
 
 
 def test_thousand_entry_index():
@@ -95,6 +97,35 @@ def test_k_validation():
         search(index, _unit(rng, 8), 0)
     with pytest.raises(IndexValidationError):
         search(index, _unit(rng, 16), 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_query_rejected(bad):
+    rng = np.random.default_rng(19)
+    index = build_index(_entries(rng, 6, 8))
+    query = _unit(rng, 8)
+    query[3] = bad
+    with pytest.raises(IndexValidationError, match="NaN or infinite"):
+        search(index, query, 5)
+
+
+def test_tie_group_straddling_the_kth_score_matches_oracle():
+    # Ten rows share one vector under ids interleaved with the others', so
+    # for some k the cut falls inside the tie group and the chunk id decides.
+    rng = np.random.default_rng(20)
+    shared = _unit(rng, 16)
+    entries = [
+        (f"c-{i:03d}", f"d-{i % 3}", i % 2, shared.copy() if i % 4 == 1 else _unit(rng, 16)) for i in range(40)
+    ]
+    random.Random(5).shuffle(entries)
+    index = build_index(entries)
+    q = _unit(rng, 16)
+    scores = index.vectors @ q
+    tied = scores[[i for i, e in enumerate(entries) if int(e[0][2:]) % 4 == 1]]
+    assert len(set(tied.tolist())) == 1
+    assert (scores > tied[0]).any() and (scores < tied[0]).any()
+    for k in range(1, index.count + 2):
+        assert [tuple(h) for h in search(index, q, k)] == _oracle(entries, q, k)
 
 
 def test_search_matches_bruteforce_oracle():
