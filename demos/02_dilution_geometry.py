@@ -9,7 +9,6 @@ context share grows.
 import numpy as np
 
 from cirbench import (
-    ContextBlock,
     EmbedderConfig,
     dilution_curve,
     effective_lambda,
@@ -32,7 +31,7 @@ print("=== Mean pooling makes the mixing model exact ===\n")
 chunk_tokens = "returns are not accepted after 24h and refunds require a stamped form".split()
 context_tokens = ("sustainability quality policy carbon emissions transport efficiency " * 15).split()
 chunk = Chunk(make_chunk_id("normative-0000", 0, 0), "normative-0000", 0, ["policy"], chunk_tokens)
-e = enrich(chunk, ContextBlock(context_tokens, [], []))
+e = enrich(chunk, context_tokens)  # a context block is a token list
 print(f"chunk of {len(chunk_tokens)} tokens + context of {len(context_tokens)} tokens")
 print(f"  injection ratio        : {e.cir:.6f}")
 print(f"  measured mixing weight : {effective_lambda(e, config):.6f}")

@@ -48,7 +48,6 @@ from .evaluation import (
     wrong_section_share,
 )
 from .injection import (
-    ContextBlock,
     EnrichedChunk,
     InjectionStrategy,
     all_strategies,
@@ -63,7 +62,6 @@ from .retrieval import Hit, VectorIndex, build_index, load_index, save_index, se
 
 __all__ = [
     "Chunk",
-    "ContextBlock",
     "CorpusConfig",
     "Document",
     "Embedder",

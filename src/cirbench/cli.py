@@ -160,10 +160,11 @@ def cmd_inject(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     resolved = _resolve(args, args.enriched)
-    records = read_enriched(args.enriched)
     config = EmbedderConfig(dim=resolved["dim"], hash_seed=resolved["hash_seed"])
-    embedder = get_embedder(config)
-    vectors = embedder.embed_many([r["tokens"] for r in records])
+    records = read_enriched(args.enriched)
+    if not records:
+        raise FormatError(f"{args.enriched}: no enriched chunks to embed")
+    vectors = get_embedder(config).embed_many([r["tokens"] for r in records])
     entries = [
         (r["chunk_id"], r["doc_id"], r["section_index"], vectors[i]) for i, r in enumerate(records)
     ]

@@ -48,6 +48,8 @@ class EmbedderConfig:
     def __post_init__(self) -> None:
         if self.dim < 8:
             raise ConfigError("dim: must be >= 8")
+        if not 0 <= self.hash_seed < 1 << 64:
+            raise ConfigError(f"hash_seed: must lie in [0, 2**64), got {self.hash_seed}")
 
 
 class Embedder:
@@ -55,7 +57,7 @@ class Embedder:
 
     def __init__(self, config: EmbedderConfig):
         self.config = config
-        self._seed_mix, _ = splitmix64(config.hash_seed & ((1 << 64) - 1))
+        self._seed_mix, _ = splitmix64(config.hash_seed)
         self._row: dict[str, int] = {}
         self._idx, self._sign = np.zeros((0, NONZEROS_PER_TOKEN), np.int64), np.zeros((0, NONZEROS_PER_TOKEN))
         self._lock = threading.Lock()
@@ -211,10 +213,10 @@ def effective_lambda(enriched: EnrichedChunk, config: EmbedderConfig) -> float:
     chunk's context injection ratio to within float error. Raises
     DegenerateMixError when the two means coincide: no weight is measured.
     """
-    if enriched.context.length == 0:
+    if len(enriched.context) == 0:
         return 0.0
     emb = get_embedder(config)
-    a = emb.mean_vector(enriched.context.tokens)
+    a = emb.mean_vector(enriched.context)
     b = emb.mean_vector(enriched.base.tokens)
     v = emb.mean_vector(enriched.tokens)
     d = a - b

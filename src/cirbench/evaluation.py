@@ -7,8 +7,8 @@ interior injection ratio, and the smallest mean ratio at which thematic
 recall overtakes specific recall.
 
 It embeds by mixing integer sums, not by embedding enriched token lists.
-Each chunk's token vectors are summed once; each context piece named by a
-block's layout is summed once per sweep. An enriched chunk's vector is
+Each chunk's token vectors are summed once; each run of a block's layout
+is summed once per sweep. An enriched chunk's vector is
 ``(chunk_sum + context_sum) / (L_c + L_I)``, normalized. Every component
 of these sums is an integer, so the vector equals ``embed`` of the
 enriched tokens bit for bit.
@@ -31,7 +31,9 @@ from .chunking import Chunk, chunk_document, parse_chunk_id
 from .corpus import SPECIFIC, THEMATIC, CorpusConfig, Document, QuerySpec, corpus_records
 from .embedding import Embedder, EmbedderConfig, get_embedder, unit
 from .errors import ConfigError
-from .injection import ContextSources, InjectionStrategy, compute_cir, context_layout, context_sources
+from .injection import (
+    PER_DOCUMENT_SOURCES, ContextSources, InjectionStrategy, compute_cir, context_layout, context_sources
+)
 from .retrieval import Hit, build_index, search
 
 # The report's columns in file order, each with the MetricRow field it holds: the
@@ -179,10 +181,10 @@ def _config_digest(documents, queries, strategies, embed_config: EmbedderConfig,
 class EnrichedSums:
     """The sweep's chunk vectors under each strategy, from integer token-vector sums.
 
-    Each chunk is summed once, and each context piece (a leading slice of a
-    section's hierarchy or pad pool, or of a document's digest or metadata)
-    once per length; a full pad cycle is the pool's whole-length slice times
-    its count. The sums live as long as this object: one sweep, one embedder.
+    Each chunk is summed once, and each run of a block's layout once per
+    source list and length: per document for the lists that depend on the
+    document alone, per section for the rest. A run's copies multiply its
+    sum. The sums live as long as this object: one sweep, one embedder.
     """
 
     def __init__(self, chunks: Sequence[Chunk], doc_by_id: dict[str, Document], embedder: Embedder):
@@ -194,12 +196,13 @@ class EnrichedSums:
             section = (chunk.doc_id, chunk.section_index)
             if section not in self._sources:
                 self._sources[section] = context_sources(doc_by_id[chunk.doc_id], chunk)
-        self._piece_sums: dict[tuple, np.ndarray] = {}
+        self._run_sums: dict[tuple, np.ndarray] = {}
 
-    def _piece(self, key: tuple, tokens: list[str], n: int) -> np.ndarray:
-        total = self._piece_sums.get((key, n))
+    def _run_sum(self, chunk: Chunk, src: ContextSources, field: str, n: int) -> np.ndarray:
+        owner = chunk.doc_id if field in PER_DOCUMENT_SOURCES else (chunk.doc_id, chunk.section_index)
+        total = self._run_sums.get((field, owner, n))
         if total is None:
-            total = self._piece_sums[key, n] = self._embedder.sum_vector(tokens[:n])
+            total = self._run_sums[field, owner, n] = self._embedder.sum_vector(getattr(src, field)[:n])
         return total
 
     def vectors(self, strat: InjectionStrategy) -> tuple[np.ndarray, list[float]]:
@@ -207,20 +210,12 @@ class EnrichedSums:
         out = np.empty((len(self.chunks), self._embedder.config.dim))
         cirs: list[float] = []
         for i, (chunk, chunk_sum) in enumerate(zip(self.chunks, self._chunk_sums)):
-            section = (chunk.doc_id, chunk.section_index)
-            src = self._sources[section]
+            src = self._sources[chunk.doc_id, chunk.section_index]
             lay = context_layout(src, chunk.length, strat)
             total = chunk_sum.copy()
-            for key, tokens, n in (
-                (("hierarchy", *section), src.hierarchy, lay.hierarchy),
-                (("pad", *section), src.pad_pool, lay.pad_rest),
-                (("digest", chunk.doc_id), src.digest, lay.summary),
-                (("metadata", chunk.doc_id), src.metadata, lay.metadata),
-            ):
-                if n:
-                    total += self._piece(key, tokens, n)
-            if lay.pad_cycles:
-                total += lay.pad_cycles * self._piece(("pad", *section), src.pad_pool, lay.pool)
+            for field, n, copies in lay.runs(src):
+                run_sum = self._run_sum(chunk, src, field, n)
+                total += run_sum if copies == 1 else copies * run_sum  # one copy needs no temporary
             out[i] = unit(total / (chunk.length + lay.length))
             cirs.append(compute_cir(lay.length, chunk.length))
         return out, cirs

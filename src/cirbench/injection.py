@@ -1,14 +1,15 @@
 """Context-block construction, CIR accounting, and injection strategies.
 
-A context block is prepended to a chunk before embedding. The five static
-strategies target fixed context-injection-ratio bands by sizing the block
-from the chunk length; the adaptive strategy ("ddai") instead caps the
-block so the ratio never exceeds a threshold, filling hierarchy first and
-summary second, with no padding and no metadata.
+A context block is a token list prepended to a chunk before embedding. The
+five static strategies target fixed context-injection-ratio bands by sizing
+the block from the chunk length; the adaptive strategy ("ddai") instead
+caps the block so the ratio never exceeds a threshold, filling hierarchy
+first and summary second, with no padding and no metadata.
 
-``context_layout`` is the one place a block is sized: it gives each piece's
-length over the section's ``ContextSources``. ``build_context`` materializes
-those pieces as token lists; the sweep adds up their token-vector sums.
+``context_layout`` is the one place a block is sized and composed: it gives
+each piece's length over the section's ``ContextSources``, and its ``runs``
+list the block in order as leading slices of those sources. ``build_context``
+materializes the runs; the sweep adds up their token-vector sums.
 """
 
 from __future__ import annotations
@@ -93,35 +94,20 @@ def all_strategies(t_max: float = InjectionStrategy.t_max) -> list[InjectionStra
 
 
 @dataclass
-class ContextBlock:
-    hierarchy_tokens: list[str]
-    summary_tokens: list[str]
-    metadata_tokens: list[str]
-
-    @property
-    def length(self) -> int:
-        return len(self.hierarchy_tokens) + len(self.summary_tokens) + len(self.metadata_tokens)
-
-    @property
-    def tokens(self) -> list[str]:
-        return self.hierarchy_tokens + self.summary_tokens + self.metadata_tokens
-
-
-@dataclass
 class EnrichedChunk:
     """A chunk with its context block; the enriched tokens and ratio follow from the two."""
 
     base: Chunk
-    context: ContextBlock
+    context: list[str]
 
     @property
     def tokens(self) -> list[str]:
         """Context, then chunk."""
-        return self.context.tokens + self.base.tokens
+        return self.context + self.base.tokens
 
     @property
     def cir(self) -> float:
-        return compute_cir(self.context.length, self.base.length)
+        return compute_cir(len(self.context), self.base.length)
 
 
 def document_digest(doc: Document) -> list[str]:
@@ -155,6 +141,10 @@ class ContextSources(NamedTuple):
     pad_pool: list[str]
 
 
+# The ContextSources fields that depend on the document alone, not on the section.
+PER_DOCUMENT_SOURCES = frozenset({"digest", "metadata"})
+
+
 def context_sources(doc: Document, chunk: Chunk) -> ContextSources:
     """*chunk*'s heading path, the document's digest and metadata, and the pad pool.
 
@@ -168,30 +158,34 @@ def context_sources(doc: Document, chunk: Chunk) -> ContextSources:
 
 
 class ContextLayout(NamedTuple):
-    """A context block as the lengths of its pieces, each a leading slice of a ContextSources list.
-
-    The block is ``hierarchy[:hierarchy]``, then ``padding`` tokens cycled from
-    the pad pool of ``pool`` tokens (``pad_cycles`` whole copies, then its first
-    ``pad_rest``), then ``digest[:summary]``, then ``metadata[:metadata]``.
-    """
+    """A context block as the lengths of its pieces, each cut from a ContextSources list."""
 
     hierarchy: int = 0
     summary: int = 0
     metadata: int = 0
     padding: int = 0
-    pool: int = 1
 
     @property
     def length(self) -> int:
         return self.hierarchy + self.summary + self.metadata + self.padding
 
-    @property
-    def pad_cycles(self) -> int:
-        return self.padding // self.pool
+    def runs(self, sources: ContextSources) -> list[tuple[str, int, int]]:
+        """The block in order, as (source field, leading tokens, copies); empty runs are left out.
 
-    @property
-    def pad_rest(self) -> int:
-        return self.padding % self.pool
+        ``hierarchy[:hierarchy]``, then ``padding`` tokens cycled from the pad
+        pool (whole copies, then its first tokens), then ``digest[:summary]``,
+        then ``metadata[:metadata]``.
+        """
+        pool = len(sources.pad_pool)
+        cycles, rest = divmod(self.padding, pool)
+        runs = [
+            ("hierarchy", self.hierarchy, 1),
+            ("pad_pool", pool, cycles),
+            ("pad_pool", rest, 1),
+            ("digest", self.summary, 1),
+            ("metadata", self.metadata, 1),
+        ]
+        return [(field, n, copies) for field, n, copies in runs if n and copies]
 
 
 def context_layout(sources: ContextSources, chunk_len: int, strat: InjectionStrategy) -> ContextLayout:
@@ -202,9 +196,8 @@ def context_layout(sources: ContextSources, chunk_len: int, strat: InjectionStra
     until the target band is reached. The adaptive strategy stops at its
     ratio budget with no padding.
     """
-    pool = len(sources.pad_pool)
     if strat.kind == "baseline":
-        return ContextLayout(pool=pool)
+        return ContextLayout()
     if strat.kind == "ddai":
         total = ddai_budget(chunk_len, strat.t_max)
     else:
@@ -213,20 +206,21 @@ def context_layout(sources: ContextSources, chunk_len: int, strat: InjectionStra
     h = min(len(sources.hierarchy), total)
     s = min(len(sources.digest), strat.summary_budget, total - h)
     if strat.kind == "ddai":
-        return ContextLayout(h, s, pool=pool)
+        return ContextLayout(h, s)
     m = min(len(sources.metadata), total - h - s) if strat.kind == "overload" else 0
-    return ContextLayout(h, s, m, total - h - s - m, pool)
+    return ContextLayout(h, s, m, total - h - s - m)
 
 
-def build_context(doc: Document, chunk: Chunk, strat: InjectionStrategy) -> ContextBlock:
-    """Assemble the context block for *chunk* under *strat*: its layout, materialized; padding joins the hierarchy."""
+def build_context(doc: Document, chunk: Chunk, strat: InjectionStrategy) -> list[str]:
+    """The context block's tokens for *chunk* under *strat*: its layout's runs, materialized."""
     src = context_sources(doc, chunk)
-    lay = context_layout(src, chunk.length, strat)
-    pad = src.pad_pool * lay.pad_cycles + src.pad_pool[: lay.pad_rest]
-    return ContextBlock(src.hierarchy[: lay.hierarchy] + pad, src.digest[: lay.summary], src.metadata[: lay.metadata])
+    block: list[str] = []
+    for field, n, copies in context_layout(src, chunk.length, strat).runs(src):
+        block += getattr(src, field)[:n] * copies
+    return block
 
 
-def enrich(chunk: Chunk, context: ContextBlock) -> EnrichedChunk:
+def enrich(chunk: Chunk, context: list[str]) -> EnrichedChunk:
     """Pair *chunk* with its context block."""
     return EnrichedChunk(chunk, context)
 

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from cirbench import (
-    ContextBlock,
     CorpusConfig,
     EmbedderConfig,
     all_strategies,
@@ -107,9 +106,9 @@ _TOKEN_POOL = [f"w{i:05d}" for i in range(20_000)]
 def _random_enriched(rng: random.Random):
     ctx_tokens = rng.choices(_TOKEN_POOL, k=rng.randint(1, 300))
     chunk_tokens = rng.choices(_TOKEN_POOL, k=rng.randint(1, 400))
-    cut = rng.randint(0, len(ctx_tokens))
+    rng.randint(0, len(ctx_tokens))  # unused; drawn so that the later draws, and the data, stay fixed
     chunk = Chunk(make_chunk_id("normative-0000", 0, 0), "normative-0000", 0, ["h"], chunk_tokens)
-    return enrich(chunk, ContextBlock(ctx_tokens[:cut], ctx_tokens[cut:], []))
+    return enrich(chunk, ctx_tokens)
 
 
 def test_criterion_3_mixing_identity():
@@ -122,7 +121,7 @@ def test_criterion_3_mixing_identity():
             e = _random_enriched(rng)
             assert abs(effective_lambda(e, config) - e.cir) <= 1e-9
             full = emb.embed(e.tokens)
-            comb = e.cir * emb.mean_vector(e.context.tokens)
+            comb = e.cir * emb.mean_vector(e.context)
             comb += (1.0 - e.cir) * emb.mean_vector(e.base.tokens)
             comb /= np.linalg.norm(comb)
             assert float(np.max(np.abs(full - comb))) <= 1e-9

@@ -23,7 +23,7 @@ from cirbench._io import read_run_config
 from cirbench.cli import EXIT_FORMAT, EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
 from cirbench.corpus import SPECIFIC, split_doc_count
 from cirbench.errors import IndexFormatError
-from cirbench.injection import STRATEGY_KINDS
+from cirbench.injection import STRATEGY_KINDS, write_enriched
 from cirbench.retrieval import save_index
 
 SMALL = ["--docs", "6", "--queries", "24", "--seed", "11"]
@@ -239,12 +239,22 @@ def _exit_code(argv: list[str]) -> int:
 
 
 def test_invalid_flag_exit_code(tmp_path):
-    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out"
+    corpus, chunks, enriched, out = (
+        tmp_path / name for name in ("corpus.jsonl", "chunks.jsonl", "enriched.jsonl", "out")
+    )
     assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
+    assert main(["chunk", "--corpus", str(corpus), "--out", str(chunks)]) == EXIT_OK
+    assert main(
+        ["inject", "--corpus", str(corpus), "--chunks", str(chunks), "--strategy", "low", "--out", str(enriched)]
+    ) == EXIT_OK
     for argv in (
+        ["embed", "--enriched", str(enriched), "--hash-seed", "-1", "--out", str(out / "vectors.cirx")],
+        ["embed", "--enriched", str(enriched), "--hash-seed", str(1 << 64), "--out", str(out / "vectors.cirx")],
         ["inject", "--strategy", "maximal", "--corpus", "x", "--chunks", "y", "--out", "z"],
         ["query", "--index", "x", "--text", "y", "--k", "0"],
         ["sweep", *SMALL, "--dim", "4", "--out-dir", str(out)],
+        ["sweep", *SMALL, "--hash-seed", "-1", "--out-dir", str(out)],
+        ["sweep", *SMALL, "--hash-seed", str(1 << 64), "--out-dir", str(out)],
         ["sweep", *SMALL, "--t-max", "2", "--out-dir", str(out)],
         ["sweep", *SMALL, "--strategies", "foo", "--out-dir", str(out)],
         ["sweep", *SMALL, "--queries", "0", "--out-dir", str(out)],
@@ -253,6 +263,14 @@ def test_invalid_flag_exit_code(tmp_path):
     ):
         assert _exit_code(argv) == EXIT_USAGE, argv
     assert not out.exists()
+
+
+def test_embed_refuses_an_enriched_file_without_records(tmp_path, capsys):
+    enriched, vectors = tmp_path / "enriched.jsonl", tmp_path / "vectors.cirx"
+    write_enriched([], "low", enriched, header={"seed": 11})
+    assert main(["embed", "--enriched", str(enriched), "--out", str(vectors)]) == EXIT_FORMAT
+    assert str(enriched) in capsys.readouterr().err
+    assert not vectors.exists()
 
 
 @pytest.mark.parametrize("artifact", ["corpus", "config", "index"])

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from cirbench import (
-    ContextBlock,
     Embedder,
     EmbedderConfig,
     MixDecomposition,
@@ -38,8 +37,7 @@ def _random_words(rng: random.Random, n: int) -> list[str]:
 def _random_enriched(rng: random.Random) -> object:
     ctx_tokens = _random_words(rng, rng.randint(1, 200))
     chunk_tokens = _random_words(rng, rng.randint(1, 400))
-    cut = rng.randint(0, len(ctx_tokens))
-    ctx = ContextBlock(ctx_tokens[:cut], ctx_tokens[cut:], [])
+    rng.randint(0, len(ctx_tokens))  # unused; drawn so that the later draws, and the data, stay fixed
     chunk = Chunk(
         chunk_id=make_chunk_id("normative-0000", 0, 0),
         doc_id="normative-0000",
@@ -47,12 +45,16 @@ def _random_enriched(rng: random.Random) -> object:
         heading_path=["h"],
         tokens=chunk_tokens,
     )
-    return enrich(chunk, ctx)
+    return enrich(chunk, ctx_tokens)
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
         EmbedderConfig(dim=4)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ConfigError, match="hash_seed"):
+            EmbedderConfig(hash_seed=seed)
+    assert EmbedderConfig(hash_seed=(1 << 64) - 1).hash_seed == (1 << 64) - 1
 
 
 def test_token_vector_deterministic():
@@ -210,7 +212,7 @@ def test_effective_lambda_noise_over_signal_scenario():
     ctx_tokens = _random_words(rng, 150)
     chunk_tokens = _random_words(rng, 10)
     chunk = Chunk("normative-0000:s000:t00000", "normative-0000", 0, ["h"], chunk_tokens)
-    e = enrich(chunk, ContextBlock(ctx_tokens, [], []))
+    e = enrich(chunk, ctx_tokens)
     assert e.cir == 0.9375
     assert effective_lambda(e, CFG) == pytest.approx(0.9375, abs=1e-9)
 
@@ -218,14 +220,14 @@ def test_effective_lambda_noise_over_signal_scenario():
 def test_effective_lambda_degenerate_when_context_mean_is_chunk_mean():
     chunk_tokens = ["alpha", "beta", "beta", "gamma", "delta"]
     chunk = Chunk("normative-0000:s000:t00000", "normative-0000", 0, ["h"], chunk_tokens)
-    e = enrich(chunk, ContextBlock(list(reversed(chunk_tokens)), [], []))
+    e = enrich(chunk, list(reversed(chunk_tokens)))
     with pytest.raises(DegenerateMixError):
         effective_lambda(e, CFG)
 
 
 def test_effective_lambda_empty_context_is_zero():
     chunk = Chunk("normative-0000:s000:t00000", "normative-0000", 0, ["h"], ["a", "b"])
-    e = enrich(chunk, ContextBlock([], [], []))
+    e = enrich(chunk, [])
     assert effective_lambda(e, CFG) == 0.0
 
 
@@ -235,7 +237,7 @@ def test_mixing_identity_exact_form():
     for _ in range(200):
         e = _random_enriched(rng)
         full = emb.embed(e.tokens)
-        comb = e.cir * emb.mean_vector(e.context.tokens) + (1.0 - e.cir) * emb.mean_vector(e.base.tokens)
+        comb = e.cir * emb.mean_vector(e.context) + (1.0 - e.cir) * emb.mean_vector(e.base.tokens)
         comb = comb / np.linalg.norm(comb)
         assert np.max(np.abs(full - comb)) <= 1e-9
 

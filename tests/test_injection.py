@@ -7,7 +7,6 @@ from itertools import cycle, islice
 import pytest
 
 from cirbench import (
-    ContextBlock,
     EnrichedChunk,
     InjectionStrategy,
     all_strategies,
@@ -129,9 +128,7 @@ def test_strategy_presets_follow_kind():
 
 def test_baseline_context_is_empty():
     doc, chunk = _doc_and_chunk(250, ["alpha beta gamma", "delta epsilon s00"])
-    ctx = build_context(doc, chunk, strategy("baseline"))
-    assert ctx.length == 0
-    assert ctx.tokens == []
+    assert build_context(doc, chunk, strategy("baseline")) == []
 
 
 def test_medium_band_on_reference_chunk():
@@ -147,47 +144,44 @@ def test_ddai_small_chunk_truncates_hierarchy():
     ]
     doc, chunk = _doc_and_chunk(30, heading_path)
     ctx = build_context(doc, chunk, strategy("ddai", t_max=0.35))
-    assert ctx.length <= 16
+    assert len(ctx) <= 16
     base = [t for h in heading_path for t in h.split()]
-    assert ctx.hierarchy_tokens == base[: ctx.length]
-    assert ctx.summary_tokens == [] and ctx.metadata_tokens == []
+    assert ctx == base[: len(ctx)]
+    lay = context_layout(context_sources(doc, chunk), chunk.length, strategy("ddai", t_max=0.35))
+    assert (lay.hierarchy, lay.summary, lay.metadata, lay.padding) == (len(ctx), 0, 0, 0)
 
 
 def test_ddai_fill_is_hierarchy_first_then_summary():
     doc, chunk = _doc_and_chunk(250, ["alpha beta gamma", "delta epsilon s00"])
     ctx = build_context(doc, chunk, strategy("ddai", t_max=0.35))
     base = [t for h in chunk.heading_path for t in h.split()]
-    assert ctx.hierarchy_tokens == base
-    assert ctx.summary_tokens == doc.sections[0].body[: len(ctx.summary_tokens)]
-    assert compute_cir(ctx.length, chunk.length) <= 0.35
+    assert ctx[: len(base)] == base
+    assert ctx[len(base) :] == doc.sections[0].body[: len(ctx) - len(base)]
+    assert compute_cir(len(ctx), chunk.length) <= 0.35
 
 
 def test_enrich_concatenation_order_and_cir():
     doc, chunk = _doc_and_chunk(10, ["alpha beta", "delta s00"])
-    ctx = ContextBlock(
-        hierarchy_tokens=[f"h{i}" for i in range(100)],
-        summary_tokens=[f"s{i}" for i in range(40)],
-        metadata_tokens=[f"m{i}" for i in range(10)],
-    )
+    ctx = [f"h{i}" for i in range(100)] + [f"s{i}" for i in range(40)] + [f"m{i}" for i in range(10)]
     e = enrich(chunk, ctx)
-    assert e.tokens[: ctx.length] == ctx.tokens
-    assert e.tokens[ctx.length :] == chunk.tokens
-    assert len(e.tokens) == ctx.length + chunk.length
+    assert e.tokens[: len(ctx)] == ctx
+    assert e.tokens[len(ctx) :] == chunk.tokens
+    assert len(e.tokens) == len(ctx) + chunk.length
     assert e.cir == compute_cir(150, 10) == 0.9375
 
 
 def test_enrich_with_empty_context():
     doc, chunk = _doc_and_chunk(25, ["alpha beta", "delta s00"])
-    e = enrich(chunk, ContextBlock([], [], []))
+    e = enrich(chunk, [])
     assert e.tokens == chunk.tokens
     assert e.cir == 0.0
 
 
 def test_enriched_tokens_and_cir_follow_context():
     doc, chunk = _doc_and_chunk(30, ["alpha beta", "delta s00"])
-    e = enrich(chunk, ContextBlock([], [], []))
+    e = enrich(chunk, [])
     assert [f.name for f in fields(EnrichedChunk)] == ["base", "context"]
-    e.context.summary_tokens.extend(["s0", "s1"])
+    e.context.extend(["s0", "s1"])
     assert e.tokens == ["s0", "s1", *chunk.tokens]
     assert e.cir == compute_cir(2, 30)
 
@@ -237,16 +231,21 @@ def test_ddai_local_dominance(small_config, small_corpus):
             assert 1.0 - e.cir >= 0.65
 
 
-def _reference_block(doc: Document, chunk: Chunk, strat: InjectionStrategy) -> ContextBlock:
-    """The block built token by token: a reference for build_context that shares none of its sizing code."""
+def _reference_block(
+    doc: Document, chunk: Chunk, strat: InjectionStrategy
+) -> tuple[list[str], list[str], list[str]]:
+    """The block built token by token, as (hierarchy plus padding, summary, metadata).
+
+    A reference for build_context and context_layout that shares none of their sizing code.
+    """
     if strat.kind == "baseline":
-        return ContextBlock([], [], [])
+        return [], [], []
     base_h = hierarchy_tokens(chunk)
     digest = document_digest(doc)
     if strat.kind == "ddai":
         total = ddai_budget(chunk.length, strat.t_max)
         h = base_h[:total]
-        return ContextBlock(h, digest[: min(strat.summary_budget, total - len(h))], [])
+        return h, digest[: min(strat.summary_budget, total - len(h))], []
     total = round(strat.target_cir / (1.0 - strat.target_cir) * chunk.length)
     h = base_h[:total]
     remaining = total - len(h)
@@ -257,7 +256,7 @@ def _reference_block(doc: Document, chunk: Chunk, strat: InjectionStrategy) -> C
     if remaining > 0:
         pad_pool = base_h + digest[:40] or list(doc.title) or ["context"]
         h = h + list(islice(cycle(pad_pool), remaining))
-    return ContextBlock(h, s, m)
+    return h, s, m
 
 
 def _layout_corpus() -> tuple[list[Document], list[Chunk]]:
@@ -291,12 +290,11 @@ def test_layout_reproduces_token_built_blocks_and_sweep_sums_reproduce_embedding
             src = context_sources(doc, c)
             lay = context_layout(src, c.length, strat)
             ctx = build_context(doc, c, strat)
-            assert ctx == _reference_block(doc, c, strat)
-            assert (lay.length, lay.summary, lay.metadata) == (
-                ctx.length, len(ctx.summary_tokens), len(ctx.metadata_tokens)
-            )
+            h, s, m = _reference_block(doc, c, strat)
+            assert ctx == h + s + m
+            assert (lay.hierarchy + lay.padding, lay.summary, lay.metadata) == (len(h), len(s), len(m))
             enriched.append(enrich(c, ctx))
-            if lay.pad_cycles >= 1:
+            if lay.padding >= len(src.pad_pool):
                 reached.add("full pad cycle")
             if 0 < lay.metadata < len(src.metadata):
                 reached.add("metadata cut")
