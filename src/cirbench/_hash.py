@@ -1,13 +1,19 @@
 """Bit-exact 64-bit hashing primitives (FNV-1a and splitmix64).
 
 These are the only sources of pseudo-randomness inside the embedder, so
-they are pinned here instead of relying on any platform hash.
+they are pinned here instead of relying on any platform hash. The
+``*_many`` forms compute the same values over numpy ``uint64`` arrays,
+whose arithmetic wraps modulo 2**64 as the masks do here.
 """
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
+# One numpy step costs about as much as hashing 32 bytes in Python.
+_FEW_FOR_NUMPY = 32
 
 
 def fnv1a64(data: bytes, basis: int = FNV64_OFFSET) -> int:
@@ -25,6 +31,38 @@ def splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64, state
+
+
+def fnv1a64_many(data: list[bytes]) -> np.ndarray:
+    """``fnv1a64`` of each byte string, as a uint64 array.
+
+    One numpy step per byte position, while at least ``_FEW_FOR_NUMPY``
+    strings are that long; the tails of the longest few go through ``fnv1a64``.
+    """
+    lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
+    # Longest first, so the strings still being hashed at position j are a prefix.
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    buf = np.frombuffer(b"".join(data), dtype=np.uint8)
+    h = np.full(len(data), FNV64_OFFSET, dtype=np.uint64)
+    for j in range(int(lengths.max(initial=0))):
+        n = np.count_nonzero(lengths > j)
+        if n < _FEW_FOR_NUMPY:
+            for i in range(n):
+                h[i] = fnv1a64(data[order[i]][j:], int(h[i]))
+            break
+        h[:n] = (h[:n] ^ buf[starts[:n] + j]) * np.uint64(FNV64_PRIME)
+    out = np.empty_like(h)
+    out[order] = h
+    return out
+
+
+def splitmix64_many(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``splitmix64`` on every element of a uint64 array; returns (values, next states)."""
+    state = state + np.uint64(0x9E3779B97F4A7C15)
+    z = (state ^ (state >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31)), state
 
 
 def fork_seed(seed: int, label: str) -> int:

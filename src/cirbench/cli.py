@@ -175,6 +175,8 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     index = load_index(args.index)
+    if index.count == 0:
+        raise FormatError(f"{args.index}: the index holds no rows, so there is nothing to query")
     if args.hash_seed is not None and args.hash_seed != index.hash_seed:
         print(f"error: --hash-seed {args.hash_seed} disagrees with the index's {index.hash_seed}", file=sys.stderr)
         return EXIT_USAGE

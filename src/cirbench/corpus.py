@@ -12,6 +12,14 @@ A small set of per-document "theme" tokens is rotated through the windows
 (each window carries a majority subset), which keeps every theme present in
 well over half of a document's chunks while leaving individual chunks
 dominated by their own local content.
+
+The output is pinned to CPython's ``random`` module: its Mersenne Twister
+stream and the way ``Random.choice``, ``randrange``, ``randint``,
+``sample`` and ``shuffle`` turn it into draws. The hot loops inline the
+last step with the same draws in the same order;
+``tests/test_corpus.py::test_inlined_draws_match_random`` checks that they
+equal ``Random``'s own methods, so a Python whose ``random`` differs fails
+there first.
 """
 
 from __future__ import annotations
@@ -129,8 +137,27 @@ class QuerySpec:
     gold_doc_id: str
 
 
+# The hot loops below draw as Random.choice(seq), Random.randrange(n) and
+# Random.shuffle do, with CPython's _randbelow(n) inlined: getrandbits(k) for
+# k = n.bit_length(), redrawn while it is >= n. The draws and their order are
+# the same, so the corpus is the same byte for byte.
+_N_CONSONANTS, _N_VOWELS = len(_CONSONANTS), len(_VOWELS)
+_K_CONSONANTS, _K_VOWELS = _N_CONSONANTS.bit_length(), _N_VOWELS.bit_length()
+_NUMBERS = [f"n{i:03d}" for i in range(1000)]
+
+
 def _word(rng: random.Random, syllables: int) -> str:
-    return "".join(rng.choice(_CONSONANTS) + rng.choice(_VOWELS) for _ in range(syllables))
+    getrandbits = rng.getrandbits
+    letters = []
+    for _ in range(syllables):
+        c = getrandbits(_K_CONSONANTS)
+        while c >= _N_CONSONANTS:
+            c = getrandbits(_K_CONSONANTS)
+        v = getrandbits(_K_VOWELS)
+        while v >= _N_VOWELS:
+            v = getrandbits(_K_VOWELS)
+        letters.append(_CONSONANTS[c] + _VOWELS[v])
+    return "".join(letters)
 
 
 def _fresh_words(rng: random.Random, count: int, used: set[str]) -> list[str]:
@@ -172,22 +199,44 @@ def _filler(
     field_words: list[str],
     shared: list[str],
 ) -> list[str]:
+    rand, getrandbits = rng.random, rng.getrandbits
+    # (words, n, n.bit_length()) for each list a token is drawn from; _NUMBERS stands for randrange(1000).
+    section, field, background, numbers = (
+        (w, len(w), len(w).bit_length()) for w in (section_words, field_words, shared, _NUMBERS)
+    )
     out: list[str] = []
     if typology == "transactional":
         # Linearized table rows: "field value field value ..." runs.
+        words, n, k = field
         while len(out) < count:
-            out.append(rng.choice(field_words))
-            if rng.random() < 0.25:
-                out.append(rng.choice(shared))
-            else:
-                out.append(f"n{rng.randrange(1000):03d}")
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            out.append(words[r])
+            value_words, value_n, value_k = background if rand() < 0.25 else numbers
+            r = getrandbits(value_k)
+            while r >= value_n:
+                r = getrandbits(value_k)
+            out.append(value_words[r])
         return out[:count]
     for _ in range(count):
-        if rng.random() < _SECTION_FILLER_SHARE:
-            out.append(rng.choice(section_words))
-        else:
-            out.append(rng.choice(shared))
+        words, n, k = section if rand() < _SECTION_FILLER_SHARE else background
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        out.append(words[r])
     return out
+
+
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Random.shuffle(x): Fisher-Yates from the end, j = _randbelow(i + 1)."""
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
 
 
 def _build_document(
@@ -263,10 +312,12 @@ def _build_document(
             fill = _filler(
                 rng, wlen - len(rotation) - stmt_total, typology, section_words, field_words, shared
             )
-            atoms: list[list[str]] = [[t] for t in rotation] + [[t] for t in fill]
-            atoms += [list(s) for s in statements[w]]
-            rng.shuffle(atoms)
-            window = [tok for atom in atoms for tok in atom]
+            # Each statement is one item of the shuffle; its tokens then replace it where it landed.
+            window: list = rotation + fill + statements[w]
+            _shuffle(rng, window)
+            for stmt in statements[w]:
+                at = window.index(stmt)
+                window[at : at + 1] = stmt
             assert len(window) == wlen
             body.extend(window)
             chunk_ids.append(make_chunk_id(doc_id, s_idx, w * target))

@@ -8,7 +8,16 @@ pre-normalization vector that is the convex combination of the two
 component means with weight ``L_I / (L_I + L_c)`` on the context side.
 An ``Embedder`` holds one token table (a dict from token to row, plus
 ``(rows, 4)`` arrays of component indices and signs) and pools a text by
-summing its tokens' rows with a single ``np.bincount``.
+summing its tokens' rows with a single ``np.bincount``; ``embed_many``
+pools a batch of texts with one.
+
+Tokens are registered in bulk: the new tokens of one call are hashed
+together by numpy kernels over ``uint64`` arrays (``_hash.fnv1a64_many``,
+``_hash.splitmix64_many``). A call with fewer than ``BULK_HASH_MIN`` new
+tokens, such as a query's, hashes them one by one in Python instead: a
+numpy pass has a fixed cost of about that many scalar hashes. Both paths
+compute the one definition below, so a token's row does not depend on
+which path registered it.
 
 Token hashing, bit-exact, once per distinct token:
 
@@ -25,14 +34,21 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
-from ._hash import fnv1a64, splitmix64
+from ._hash import fnv1a64, fnv1a64_many, splitmix64, splitmix64_many
 from .errors import ConfigError, DegenerateMixError, EmbeddingError
 from .injection import EnrichedChunk
 
 NONZEROS_PER_TOKEN = 4
+# A registration of fewer new tokens hashes them one by one: a numpy pass
+# costs about as much as hashing this many tokens in Python.
+BULK_HASH_MIN = 32
+# The most tokens embed_many pools with one bincount; bounds its temporaries.
+POOL_TOKENS = 1 << 14
 
 _IDX_SALT = 0xA5C35A3C96E7D1B5
 _SIGN_SALT = 0x3C5AC3A517B9E64D
@@ -75,17 +91,47 @@ class Embedder:
             signs.append(1.0 if value & 1 else -1.0)
         return indices, signs
 
-    def _register(self, tokens: set[str]) -> None:
+    def _hash_many(self, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """``_hash`` of every token at once: (n, 4) indices and signs, row for row the same."""
+        base = fnv1a64_many([tok.encode("utf-8") for tok in tokens]) ^ np.uint64(self._seed_mix)
+        idx = np.full((len(tokens), NONZEROS_PER_TOKEN), -1, dtype=np.int64)  # -1: not drawn yet
+        found = np.zeros(len(tokens), dtype=np.intp)
+        # Draw once for every row still short of four distinct indices, and keep each draw it lacks.
+        rows, state = np.arange(len(tokens)), base ^ np.uint64(_IDX_SALT)
+        while rows.size:
+            value, state = splitmix64_many(state)
+            value = (value % np.uint64(self.config.dim)).astype(np.int64)
+            new = (idx[rows] != value[:, None]).all(axis=1)
+            hit = rows[new]
+            idx[hit, found[hit]] = value[new]
+            found[hit] += 1
+            short = found[rows] < NONZEROS_PER_TOKEN
+            rows, state = rows[short], state[short]
+        sign = np.empty(idx.shape)
+        state = base ^ np.uint64(_SIGN_SALT)
+        for c in range(NONZEROS_PER_TOKEN):
+            value, state = splitmix64_many(state)
+            sign[:, c] = np.where(value & np.uint64(1), 1.0, -1.0)
+        return idx, sign
+
+    def register(self, tokens: Iterable[str]) -> None:
+        """Add every token of *tokens* that the table lacks, hashing them in one pass."""
+        new = set(tokens).difference(self._row)
+        if not new:
+            return
         # np.resize copies and a token is registered after its row is written: readers see whole rows.
         with self._lock:
-            new = [tok for tok in tokens if tok not in self._row]
-            start = len(self._row)
-            if start + len(new) > len(self._idx):
-                shape = (max(start + len(new), 2 * len(self._idx)), NONZEROS_PER_TOKEN)
+            new = [tok for tok in new if tok not in self._row]  # another thread may have added some
+            start, end = len(self._row), len(self._row) + len(new)
+            if end > len(self._idx):
+                shape = (max(end, 2 * len(self._idx)), NONZEROS_PER_TOKEN)
                 self._idx, self._sign = np.resize(self._idx, shape), np.resize(self._sign, shape)
-            for r, tok in enumerate(new, start):
-                self._idx[r], self._sign[r] = self._hash(tok)
-                self._row[tok] = r
+            if len(new) < BULK_HASH_MIN:
+                for r, tok in enumerate(new, start):
+                    self._idx[r], self._sign[r] = self._hash(tok)
+            else:
+                self._idx[start:end], self._sign[start:end] = self._hash_many(new)
+            self._row.update(zip(new, range(start, end)))
 
     def token_vector(self, token: str) -> np.ndarray:
         """Raw (unnormalized) token vector: four signed unit components."""
@@ -99,8 +145,8 @@ class Embedder:
         Every component is an integer, so it is exact in any order, and sums
         of sums equal the sum over the concatenated tokens bit for bit.
         """
-        if new := set(tokens).difference(self._row):
-            self._register(new)
+        if new := set(tokens).difference(self._row):  # checked here too: most calls add nothing
+            self.register(new)
         rows = np.fromiter(map(self._row.__getitem__, tokens), dtype=np.intp, count=len(tokens))
         return np.bincount(self._idx[rows].ravel(), self._sign[rows].ravel(), minlength=self.config.dim)
 
@@ -115,7 +161,33 @@ class Embedder:
         return unit(self.mean_vector(tokens))
 
     def embed_many(self, token_lists: list[list[str]]) -> np.ndarray:
-        return np.array([self.embed(tokens) for tokens in token_lists]).reshape(-1, self.config.dim)
+        """``embed`` of each token list, one row each, bit for bit.
+
+        The lists' new tokens are registered at once, and a batch of lists
+        of at most ``POOL_TOKENS`` tokens in all (or one longer list) is
+        pooled by one ``np.bincount``.
+        """
+        dim = self.config.dim
+        out = np.empty((len(token_lists), dim))
+        lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
+        if lengths.size and lengths.min() == 0:
+            raise EmbeddingError("cannot embed an empty token sequence")
+        self.register(chain.from_iterable(token_lists))
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        lo = 0
+        while lo < len(token_lists):
+            hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + POOL_TOKENS, side="right")))
+            tokens = chain.from_iterable(token_lists[lo:hi])
+            rows = np.fromiter(map(self._row.__getitem__, tokens), np.intp, count=int(ends[hi - 1] - starts[lo]))
+            text = np.repeat(np.arange(hi - lo), lengths[lo:hi])
+            sums = np.bincount(
+                (text[:, None] * dim + self._idx[rows]).ravel(), self._sign[rows].ravel(), minlength=(hi - lo) * dim
+            )
+            for i, mean in enumerate(sums.reshape(hi - lo, dim) / lengths[lo:hi, None], lo):
+                out[i] = unit(mean)
+            lo = hi
+        return out
 
 
 def unit(acc: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -190,12 +191,15 @@ class EnrichedSums:
     def __init__(self, chunks: Sequence[Chunk], doc_by_id: dict[str, Document], embedder: Embedder):
         self.chunks = chunks
         self._embedder = embedder
-        self._chunk_sums = [embedder.sum_vector(chunk.tokens) for chunk in chunks]
         self._sources: dict[tuple[str, int], ContextSources] = {}
         for chunk in chunks:
             section = (chunk.doc_id, chunk.section_index)
             if section not in self._sources:
                 self._sources[section] = context_sources(doc_by_id[chunk.doc_id], chunk)
+        # Every token the sums will see, hashed in one pass; no sum_vector call below hashes.
+        token_lists = [chunk.tokens for chunk in chunks] + [lst for src in self._sources.values() for lst in src]
+        embedder.register(chain.from_iterable(token_lists))
+        self._chunk_sums = [embedder.sum_vector(chunk.tokens) for chunk in chunks]
         self._run_sums: dict[tuple, np.ndarray] = {}
 
     def _run_sum(self, chunk: Chunk, src: ContextSources, field: str, n: int) -> np.ndarray:

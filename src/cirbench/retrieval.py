@@ -127,10 +127,9 @@ def search(index: VectorIndex, query: np.ndarray, k: int) -> list[Hit]:
     # so sorting the candidates alone gives the full sort's first k rows.
     rows = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k]) if k < n else np.arange(n)
     order = rows[np.lexsort((index._id_rank[rows], -scores[rows]))][:k]
-    return [
-        Hit(index.chunk_ids[i], index.doc_ids[i], index.section_indexes[i], float(scores[i]))
-        for i in map(int, order)
-    ]
+    top = order.tolist()
+    fields = (map(column.__getitem__, top) for column in (index.chunk_ids, index.doc_ids, index.section_indexes))
+    return list(map(Hit._make, zip(*fields, scores[order].tolist())))
 
 
 def save_index(index: VectorIndex, path: str | Path) -> None:

@@ -273,6 +273,14 @@ def test_embed_refuses_an_enriched_file_without_records(tmp_path, capsys):
     assert not vectors.exists()
 
 
+def test_query_refuses_an_index_without_rows(tmp_path, capsys):
+    vectors = tmp_path / "empty.cirx"
+    save_index(build_index([], hash_seed=0), vectors)
+    assert main(["query", "--index", str(vectors), "--text", "a b"]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert str(vectors) in err and "no rows" in err
+
+
 @pytest.mark.parametrize("artifact", ["corpus", "config", "index"])
 def test_bytes_that_are_not_utf8_are_format_error(tmp_path, capsys, artifact):
     corpus, chunks, enriched, vectors = (

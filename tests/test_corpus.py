@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -11,7 +12,17 @@ from cirbench import (
     generate_corpus,
     serialize_corpus,
 )
-from cirbench.corpus import SPECIFIC, THEMATIC
+from cirbench.corpus import (
+    _CONSONANTS,
+    _SECTION_FILLER_SHARE,
+    _VOWELS,
+    SPECIFIC,
+    THEMATIC,
+    TYPOLOGIES,
+    _filler,
+    _shuffle,
+    _word,
+)
 from cirbench.errors import ConfigError
 
 
@@ -165,3 +176,33 @@ def test_config_validation_names_field():
         CorpusConfig(chunk_token_target=8).validate()
     with pytest.raises(ConfigError, match="specific_fraction"):
         CorpusConfig(specific_fraction=1.5).validate()
+
+
+def _filler_by_random(rng, count, typology, section_words, field_words, shared):
+    """corpus._filler as written with Random's own methods."""
+    out = []
+    if typology == "transactional":
+        while len(out) < count:
+            out.append(rng.choice(field_words))
+            out.append(rng.choice(shared) if rng.random() < 0.25 else f"n{rng.randrange(1000):03d}")
+        return out[:count]
+    for _ in range(count):
+        out.append(rng.choice(section_words) if rng.random() < _SECTION_FILLER_SHARE else rng.choice(shared))
+    return out
+
+
+@pytest.mark.parametrize("typology", TYPOLOGIES)
+@pytest.mark.parametrize("n_words", [16, 23])  # 16 is a power of two: half its draws are redrawn
+def test_inlined_draws_match_random(typology, n_words):
+    words = [f"w{i}" for i in range(n_words)]
+    shared = [f"s{i}" for i in range(1400)]
+    ours, theirs = random.Random(3), random.Random(3)
+    for count in (0, 1, 7, 250, 256):
+        got = _filler(ours, count, typology, words, words[: n_words // 2], shared)
+        assert got == _filler_by_random(theirs, count, typology, words, words[: n_words // 2], shared)
+        x, y = list(range(count)), list(range(count))
+        _shuffle(ours, x)
+        theirs.shuffle(y)
+        assert x == y
+        assert _word(ours, 4) == "".join(theirs.choice(_CONSONANTS) + theirs.choice(_VOWELS) for _ in range(4))
+    assert ours.getstate() == theirs.getstate()

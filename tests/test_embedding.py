@@ -23,8 +23,9 @@ from cirbench import (
     similarity,
     token_vector,
 )
+from cirbench._hash import fnv1a64, splitmix64
 from cirbench.chunking import Chunk
-from cirbench.embedding import NONZEROS_PER_TOKEN, curve_values
+from cirbench.embedding import _IDX_SALT, BULK_HASH_MIN, NONZEROS_PER_TOKEN, curve_values
 from cirbench.errors import ConfigError, DegenerateMixError, EmbeddingError
 
 CFG = EmbedderConfig(dim=256, hash_seed=17)
@@ -300,3 +301,81 @@ def test_shared_embedder_concurrent_growth_matches_serial():
     for w in range(workers):
         expected = np.vstack([serial.mean_vector(tokens) for tokens in batches[w]] + [serial.embed_many(batches[w])])
         assert np.array_equal(results[w], expected)
+
+
+def test_concurrent_bulk_registrations_match_serial():
+    workers, rounds = 4, 30
+
+    def lists(w: int, r: int) -> list[list[str]]:
+        # Workers share most of a round's tokens, and each call brings far more than BULK_HASH_MIN new ones.
+        return [[f"b{r}-{(w + i) % 6}-{j}" for j in range(48)] for i in range(4)]
+
+    shared = Embedder(CFG)
+    results: list[list[np.ndarray]] = [[] for _ in range(workers)]
+    start = threading.Barrier(workers)
+
+    def run(w: int) -> None:
+        start.wait()
+        results[w] = [shared.embed_many(lists(w, r)) for r in range(rounds)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(w,)) for w in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+
+    serial = Embedder(CFG)
+    for w in range(workers):
+        for r in range(rounds):
+            assert np.array_equal(results[w][r], serial.embed_many(lists(w, r)))
+
+
+# Multi-byte UTF-8, 1-byte and 40-byte-plus tokens (hashed past the numpy steps), the
+# empty token, and enough others that at both dims some token's first four draws repeat an index.
+HASH_TOKENS = ["ñandú", "日本語", "a", "7", "x" * 40, "ü" * 25, "", *(f"r{i}" for i in range(200))]
+
+
+def _first_draws_repeat(config: EmbedderConfig, token: str) -> bool:
+    state = fnv1a64(token.encode("utf-8")) ^ splitmix64(config.hash_seed)[0] ^ _IDX_SALT
+    draws = set()
+    for _ in range(NONZEROS_PER_TOKEN):
+        value, state = splitmix64(state)
+        draws.add(value % config.dim)
+    return len(draws) < NONZEROS_PER_TOKEN
+
+
+@pytest.mark.parametrize("dim", [8, 256])
+@pytest.mark.parametrize("hash_seed", [0, 2**64 - 1])
+def test_bulk_hash_matches_scalar_hash(dim, hash_seed):
+    emb = Embedder(EmbedderConfig(dim=dim, hash_seed=hash_seed))
+    assert any(_first_draws_repeat(emb.config, token) for token in HASH_TOKENS)  # the redraw loop runs
+    idx, sign = emb._hash_many(HASH_TOKENS)
+    for row, token in enumerate(HASH_TOKENS):
+        indices, signs = emb._hash(token)
+        assert idx[row].tolist() == indices and sign[row].tolist() == signs, token
+
+
+def test_registrations_either_side_of_the_bulk_crossover_give_equal_rows(monkeypatch):
+    bulk_sizes = []
+    hash_many = Embedder._hash_many
+
+    def counted(self, tokens):
+        bulk_sizes.append(len(tokens))
+        return hash_many(self, tokens)
+
+    monkeypatch.setattr(Embedder, "_hash_many", counted)
+    tokens = [f"x{i}" for i in range(BULK_HASH_MIN)]
+    scalar, bulk = Embedder(CFG), Embedder(CFG)
+    scalar.register(tokens[:-1])
+    bulk.register(tokens)
+    assert bulk_sizes == [BULK_HASH_MIN]  # just below the crossover hashes one by one, at it in bulk
+    scalar.register(tokens[-1:])
+    for token in tokens:
+        assert np.array_equal(scalar._idx[scalar._row[token]], bulk._idx[bulk._row[token]])
+        assert np.array_equal(scalar._sign[scalar._row[token]], bulk._sign[bulk._row[token]])
