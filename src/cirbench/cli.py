@@ -7,6 +7,11 @@ JSONL/CSV output carries the resolved configuration for provenance, and
 ``chunk``, ``inject`` and ``embed`` take their defaults from their input
 file's, so a chain keeps the corpus's seed.
 
+``main(argv)`` may be called repeatedly in one process. It builds its
+argparse parser on the first call and reuses it, and ``sweep`` and
+``report`` read ``CIRBENCH_OUT_DIR`` on every call, so each call follows
+its own environment; an explicit ``--out-dir`` wins.
+
 Exit codes: 0 success, 2 invalid flags or out-of-range configuration
 values, 3 missing input file, 4 format/parse error (including bytes that
 are not UTF-8), 1 any other failure.
@@ -15,6 +20,7 @@ are not UTF-8), 1 any other failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -54,8 +60,9 @@ _FIELDS = {
 }
 
 
-def _default_out_dir() -> str:
-    return os.environ.get("CIRBENCH_OUT_DIR", ".")
+def _out_dir(args: argparse.Namespace) -> str:
+    """``--out-dir``, else ``CIRBENCH_OUT_DIR`` as this call's environment holds it, else '.'."""
+    return os.environ.get("CIRBENCH_OUT_DIR", ".") if args.out_dir is None else args.out_dir
 
 
 def _load_config_file(path: str) -> dict:
@@ -198,7 +205,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     docs, queries = generate_corpus(_corpus_config(resolved))
     report = run_sweep(docs, queries, strategies, embed_config, chunk_target=resolved["chunk_target"])
     header = _provenance(resolved)
-    written = [path for fmt in ("csv", "jsonl") for path in emit_report(report, fmt, args.out_dir, header)]
+    written = [path for fmt in ("csv", "jsonl") for path in emit_report(report, fmt, _out_dir(args), header)]
     print(report_csv(report, header), end="")
     print(f"wrote {written[0]} and {written[1]}")
     return EXIT_OK
@@ -206,7 +213,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     report = parse_report_jsonl(args.sweep)
-    written = emit_report(report, args.format, args.out_dir, read_run_config(args.sweep) or None)
+    written = emit_report(report, args.format, _out_dir(args), read_run_config(args.sweep) or None)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK
@@ -273,21 +280,27 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(
         p, "seed", "docs", "dim", "hash_seed", "chunk_target", "queries", "specific_fraction", "t_max", "strategies"
     )
-    p.add_argument("--out-dir", default=_default_out_dir(), help="output directory (env CIRBENCH_OUT_DIR)")
+    p.add_argument("--out-dir", default=None, help="output directory (env CIRBENCH_OUT_DIR)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="re-emit a sweep report in another format")
     p.add_argument("--sweep", required=True, help="sweep.jsonl produced by the sweep command")
     p.add_argument("--format", required=True, choices=["csv", "jsonl", "plotdata"])
-    p.add_argument("--out-dir", default=_default_out_dir())
+    p.add_argument("--out-dir", default=None)
     p.set_defaults(func=cmd_report)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing reads a parser and never changes it, and no default depends on
+    # the environment, so one parser serves every call in the process.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

@@ -12,6 +12,12 @@ File format (all integers little-endian): magic ``CIRX``, version u16
 (2), dim u32, count u64, the embedder's hash seed u64; per entry a
 u16-length-prefixed UTF-8 chunk id, a u16-length-prefixed UTF-8 doc id
 and a u32 section index; then the packed float32 vectors in entry order.
+
+``load_index`` walks the id table once, entry by entry. It reads each u16
+length from two indexed bytes rather than a slice, and decodes each
+distinct doc id once, since a document's chunks share it; a doc id that is
+not UTF-8 is never cached, so every entry holding it is checked. Any read
+past the end of the file is a truncated id table.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .errors import IndexFormatError, IndexValidationError
 MAGIC = b"CIRX"
 VERSION = 2
 _HEADER = struct.Struct("<HIQQ")  # version, dim, count, hash_seed
+_U32 = struct.Struct("<I")
 _UNIT_TOL = 1e-4
 
 
@@ -175,17 +182,24 @@ def load_index(path: str | Path) -> VectorIndex:
     chunk_ids: list[str] = []
     doc_ids: list[str] = []
     sections: list[int] = []
+    decoded: dict[bytes, str] = {}  # doc id bytes -> str; only a decode that succeeded is kept
     try:
         for _ in range(count):
-            end = offset + 2 + int.from_bytes(data[offset : offset + 2], "little")
+            end = offset + 2 + (data[offset] | data[offset + 1] << 8)
             chunk_ids.append(data[offset + 2 : end].decode("utf-8"))
-            offset = end + 2 + int.from_bytes(data[end : end + 2], "little")
-            doc_ids.append(data[end + 2 : offset].decode("utf-8"))
-            sections.append(int.from_bytes(data[offset : offset + 4], "little"))
+            offset = end + 2 + (data[end] | data[end + 1] << 8)
+            raw = data[end + 2 : offset]
+            doc_id = decoded.get(raw)
+            if doc_id is None:
+                doc_id = decoded[raw] = raw.decode("utf-8")
+            doc_ids.append(doc_id)
+            sections.append(_U32.unpack_from(data, offset)[0])
             offset += 4
     except UnicodeDecodeError as exc:
         raise IndexFormatError(f"{path}: id table entry {len(doc_ids)} is not UTF-8 ({exc.reason})") from exc
-    # A slice past the end comes back short, so a truncated id table fails this check.
+    except (IndexError, struct.error) as exc:  # a length or section read past the end of the file
+        raise IndexFormatError(f"{path}: truncated id table") from exc
+    # A file cut inside the vectors fails this check; one cut inside the id table failed above.
     expected = offset + count * dim * 4
     if len(data) != expected:
         raise IndexFormatError(f"{path}: expected {expected} bytes, found {len(data)}")

@@ -20,7 +20,7 @@ from cirbench import (
 )
 from cirbench._hash import fork_seed
 from cirbench._io import read_run_config
-from cirbench.cli import EXIT_FORMAT, EXIT_MISSING, EXIT_OK, EXIT_USAGE, main
+from cirbench.cli import EXIT_FORMAT, EXIT_MISSING, EXIT_OK, EXIT_USAGE, build_parser, main
 from cirbench.corpus import SPECIFIC, split_doc_count
 from cirbench.errors import IndexFormatError
 from cirbench.injection import STRATEGY_KINDS, write_enriched
@@ -187,6 +187,45 @@ def test_invalid_index_is_format_error(tmp_path, capsys, defect):
     assert defect in capsys.readouterr().err
 
 
+def _long_id_index(tmp_path, doc_ids: list[str]):
+    """A saved dim-8 index with long ids, so that a file cut inside its id table
+    passes the up-front size bound and the walk itself meets the end. Returns
+    the path and, per entry, the offsets of its chunk id length, doc id length
+    and section."""
+    rng = np.random.default_rng(5)
+    entries = [
+        (f"chunk-{i:05d}" + "c" * 40, did, 7, v / np.linalg.norm(v))
+        for i, (did, v) in enumerate(zip(doc_ids, rng.standard_normal((len(doc_ids), 8))))
+    ]
+    path = tmp_path / "vectors.cirx"
+    save_index(build_index(entries, 5), path)
+    fields, offset = [], 4 + 22  # magic, header
+    for cid, did, _, _ in entries:
+        doc_at = offset + 2 + len(cid)
+        section_at = doc_at + 2 + len(did)
+        fields.append((offset, doc_at, section_at))
+        offset = section_at + 4
+    return path, fields
+
+
+@pytest.mark.parametrize("field", [0, 1, 2], ids=["chunk id length", "doc id length", "section"])
+def test_index_cut_inside_an_id_table_field_is_truncation(tmp_path, capsys, field):
+    path, fields = _long_id_index(tmp_path, ["doc-" + "d" * 40] * 4)
+    path.write_bytes(path.read_bytes()[: fields[-1][field] + 1])
+    with pytest.raises(IndexFormatError, match="truncated id table"):
+        load_index(path)
+    assert main(["query", "--index", str(path), "--text", "a b c"]) == EXIT_FORMAT
+    assert "truncated id table" in capsys.readouterr().err
+
+
+def test_repeated_non_utf8_doc_id_names_its_first_entry(tmp_path):
+    path, _ = _long_id_index(tmp_path, ["doc-a", "doc-Z", "doc-Z", "doc-b"])
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"doc-Z", b"doc-\xff"))
+    with pytest.raises(IndexFormatError, match="entry 1 is not UTF-8"):
+        load_index(path)
+
+
 def test_report_formats_from_sweep(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", *SMALL, "--out-dir", str(out)]) == EXIT_OK
@@ -207,6 +246,21 @@ def test_report_reproduces_sweep_files(tmp_path):
             argv = ["report", "--sweep", str(out / "sweep.jsonl"), "--format", fmt, "--out-dir", str(target)]
             assert main(argv) == EXIT_OK
         assert {name: (target / name).read_bytes() for name in expected} == expected
+
+
+def test_out_dir_env_is_read_on_each_call(tmp_path, monkeypatch):
+    for name in ("a", "b"):
+        monkeypatch.setenv("CIRBENCH_OUT_DIR", str(tmp_path / name))
+        assert main(["sweep", *SMALL]) == EXIT_OK
+        assert (tmp_path / name / "sweep.jsonl").exists()
+    sweep = str(tmp_path / "a" / "sweep.jsonl")
+    for name in ("c", "d"):
+        monkeypatch.setenv("CIRBENCH_OUT_DIR", str(tmp_path / name))
+        assert main(["report", "--sweep", sweep, "--format", "csv"]) == EXIT_OK
+        assert (tmp_path / name / "sweep.csv").read_bytes() == (tmp_path / "a" / "sweep.csv").read_bytes()
+    assert main(["report", "--sweep", sweep, "--format", "csv", "--out-dir", str(tmp_path / "e")]) == EXIT_OK
+    assert (tmp_path / "e" / "sweep.csv").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "c", "d", "e"]
 
 
 def test_sweep_csv_has_flags_and_config_lines(tmp_path, capsys):
@@ -330,3 +384,35 @@ def test_unknown_config_key_is_format_error(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("sedd = 11\n")
     assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "c.jsonl")]) == EXIT_FORMAT
+
+
+def test_reused_parser_carries_nothing_between_calls(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    vecs = [v / np.linalg.norm(v) for v in rng.standard_normal((12, 8))]
+    path = tmp_path / "vectors.cirx"
+    save_index(build_index([(f"c{i:02d}", f"d{i % 3}", i % 2, v) for i, v in enumerate(vecs)], 5), path)
+    query = ["query", "--index", str(path), "--text", "alpha beta gamma", "--k", "4"]
+    fresh = build_parser().parse_args(query)
+    assert fresh.func(fresh) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert len(expected.splitlines()) == 4
+
+    assert main([*query, "--hash-seed", "6"]) == EXIT_USAGE
+    assert "disagrees" in capsys.readouterr().err
+    assert main(query) == EXIT_OK
+    assert capsys.readouterr().out == expected
+    assert _exit_code([*query, "--colour", "red"]) == EXIT_USAGE
+    assert main(query) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("command", [[], ["gen"], ["chunk"], ["inject"], ["embed"], ["query"], ["sweep"], ["report"]])
+def test_reused_parser_help_equals_a_fresh_parsers(capsys, command):
+    def help_text(parse) -> str:
+        with pytest.raises(SystemExit) as exc:
+            parse([*command, "--help"])
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    first, again = help_text(main), help_text(main)
+    assert first == again == help_text(build_parser().parse_args)
