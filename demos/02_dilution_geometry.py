@@ -15,7 +15,6 @@ from cirbench import (
     enrich,
     get_embedder,
     make_chunk_id,
-    similarity,
 )
 from cirbench.chunking import Chunk
 
@@ -42,11 +41,11 @@ query = emb.embed("refund deadline 24h returns".split())
 v_local = emb.embed(chunk_tokens)
 raw_global = emb.embed(context_tokens)
 # orthogonalize the context direction against the local one
-v_global = raw_global - similarity(raw_global, v_local) * v_local
+v_global = raw_global - float(raw_global @ v_local) * v_local
 v_global /= np.linalg.norm(v_global)
 
-a = similarity(query, v_local)
-b = similarity(query, v_global)
+a = float(query @ v_local)
+b = float(query @ v_global)
 print(f"sim(query, local)  a = {a:+.4f}")
 print(f"sim(query, global) b = {b:+.4f}\n")
 

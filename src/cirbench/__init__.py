@@ -28,12 +28,8 @@ from .embedding import (
     EmbedderConfig,
     MixDecomposition,
     dilution_curve,
-    effective_lambda,
-    embed,
     get_embedder,
     mix,
-    similarity,
-    token_vector,
 )
 from .evaluation import (
     MetricRow,
@@ -55,6 +51,7 @@ from .injection import (
     compute_cir,
     ddai_budget,
     document_digest,
+    effective_lambda,
     enrich,
     strategy,
 )
@@ -87,7 +84,6 @@ __all__ = [
     "dilution_curve",
     "document_digest",
     "effective_lambda",
-    "embed",
     "emit_report",
     "enrich",
     "generate_corpus",
@@ -103,10 +99,8 @@ __all__ = [
     "save_index",
     "search",
     "serialize_corpus",
-    "similarity",
     "strategy",
     "sweep_flags",
-    "token_vector",
     "tokenize",
     "wrong_section_share",
 ]

@@ -12,7 +12,6 @@ import contextlib
 import itertools
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
 
@@ -21,29 +20,23 @@ from .errors import CorpusFormatError
 T = TypeVar("T")
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 @contextlib.contextmanager
 def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
     """A binary handle whose bytes replace *path* on exit: a crash leaves the old file or the new one.
 
-    The bytes go to a unique temp file in the target's directory, are
-    fsynced, then renamed over the target. The temp file is removed if any
-    step fails, the caller's writes included.
+    The bytes go to a new temp file with a random name in the target's
+    directory, are fsynced, then renamed over the target. The temp file is
+    created 0666 less the umask, as a plain open() would, and is removed if
+    any step fails, the caller's writes included.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             yield handle
             handle.flush()
             os.fsync(handle.fileno())
-        # mkstemp creates the file 0600; give it the mode a plain open() would.
-        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

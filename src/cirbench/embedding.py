@@ -1,4 +1,4 @@
-"""Deterministic signed feature-hash embedder and vector-mixing geometry.
+"""Tokens to vectors, and the pure geometry of mixing two vectors.
 
 A token maps to a sparse vector with exactly four nonzero components of
 magnitude one; a text embeds as the L2-normalized mean of its token
@@ -41,7 +41,6 @@ import numpy as np
 
 from ._hash import fnv1a64, fnv1a64_many, splitmix64, splitmix64_many
 from .errors import ConfigError, DegenerateMixError, EmbeddingError
-from .injection import EnrichedChunk
 
 NONZEROS_PER_TOKEN = 4
 # A registration of fewer new tokens hashes them one by one: a numpy pass
@@ -145,8 +144,7 @@ class Embedder:
         Every component is an integer, so it is exact in any order, and sums
         of sums equal the sum over the concatenated tokens bit for bit.
         """
-        if new := set(tokens).difference(self._row):  # checked here too: most calls add nothing
-            self.register(new)
+        self.register(tokens)
         rows = np.fromiter(map(self._row.__getitem__, tokens), dtype=np.intp, count=len(tokens))
         return np.bincount(self._idx[rows].ravel(), self._sign[rows].ravel(), minlength=self.config.dim)
 
@@ -208,19 +206,6 @@ def get_embedder(config: EmbedderConfig) -> Embedder:
     return emb
 
 
-def token_vector(token: str, config: EmbedderConfig) -> np.ndarray:
-    return get_embedder(config).token_vector(token)
-
-
-def embed(tokens: list[str], config: EmbedderConfig) -> np.ndarray:
-    return get_embedder(config).embed(tokens)
-
-
-def similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two unit vectors (their dot product)."""
-    return float(np.dot(a, b))
-
-
 @dataclass
 class MixDecomposition:
     """Unit local/global components and the mixing weight on the global side."""
@@ -275,24 +260,3 @@ def dilution_curve(
     """
     lams, sims = curve_values(q, v_local, v_global, grid_points)
     return list(zip(lams.tolist(), sims.tolist()))
-
-
-def effective_lambda(enriched: EnrichedChunk, config: EmbedderConfig) -> float:
-    """Exact mixing weight of the context component inside embed(enriched.tokens).
-
-    Solved by projecting the full-sequence mean onto the line between the
-    chunk mean and the context mean; under mean pooling this equals the
-    chunk's context injection ratio to within float error. Raises
-    DegenerateMixError when the two means coincide: no weight is measured.
-    """
-    if len(enriched.context) == 0:
-        return 0.0
-    emb = get_embedder(config)
-    a = emb.mean_vector(enriched.context)
-    b = emb.mean_vector(enriched.base.tokens)
-    v = emb.mean_vector(enriched.tokens)
-    d = a - b
-    den = float(d @ d)
-    if den < 1e-18:
-        raise DegenerateMixError("context mean equals chunk mean; the mixing weight is not measurable")
-    return float((v - b) @ d / den)

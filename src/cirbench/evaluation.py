@@ -1,17 +1,11 @@
-"""Ranking metrics, the strategy sweep runner, and report emitters.
+"""Scoring: ranking metrics, the strategy sweep runner, and report emitters.
 
-The sweep embeds every chunk under each injection strategy, retrieves the
-ground-truth queries against a per-strategy index, and reports one metric
-row per strategy plus two shape flags: whether ranking quality peaks at an
-interior injection ratio, and the smallest mean ratio at which thematic
-recall overtakes specific recall.
-
-It embeds by mixing integer sums, not by embedding enriched token lists.
-Each chunk's token vectors are summed once; each run of a block's layout
-is summed once per sweep. An enriched chunk's vector is
-``(chunk_sum + context_sum) / (L_c + L_I)``, normalized. Every component
-of these sums is an integer, so the vector equals ``embed`` of the
-enriched tokens bit for bit.
+The sweep takes every chunk's vector under each injection strategy from
+``injection.EnrichedSums``, retrieves the ground-truth queries against a
+per-strategy index, and scores them: one metric row per strategy plus two
+shape flags, whether ranking quality peaks at an interior injection ratio,
+and the smallest mean ratio at which thematic recall overtakes specific
+recall.
 """
 
 from __future__ import annotations
@@ -20,7 +14,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -30,11 +23,9 @@ from . import __version__
 from ._io import atomic_write_text, read_jsonl, write_jsonl
 from .chunking import Chunk, chunk_document, parse_chunk_id
 from .corpus import SPECIFIC, THEMATIC, CorpusConfig, Document, QuerySpec, corpus_records
-from .embedding import Embedder, EmbedderConfig, get_embedder, unit
-from .errors import ConfigError
-from .injection import (
-    PER_DOCUMENT_SOURCES, ContextSources, InjectionStrategy, compute_cir, context_layout, context_sources
-)
+from .embedding import EmbedderConfig, get_embedder
+from .errors import ConfigError, CorpusFormatError
+from .injection import EnrichedSums, InjectionStrategy
 from .retrieval import Hit, build_index, search
 
 # The report's columns in file order, each with the MetricRow field it holds: the
@@ -179,52 +170,6 @@ def _config_digest(documents, queries, strategies, embed_config: EmbedderConfig,
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
-class EnrichedSums:
-    """The sweep's chunk vectors under each strategy, from integer token-vector sums.
-
-    Each chunk is summed once, and each run of a block's layout once per
-    source list and length: per document for the lists that depend on the
-    document alone, per section for the rest. A run's copies multiply its
-    sum. The sums live as long as this object: one sweep, one embedder.
-    """
-
-    def __init__(self, chunks: Sequence[Chunk], doc_by_id: dict[str, Document], embedder: Embedder):
-        self.chunks = chunks
-        self._embedder = embedder
-        self._sources: dict[tuple[str, int], ContextSources] = {}
-        for chunk in chunks:
-            section = (chunk.doc_id, chunk.section_index)
-            if section not in self._sources:
-                self._sources[section] = context_sources(doc_by_id[chunk.doc_id], chunk)
-        # Every token the sums will see, hashed in one pass; no sum_vector call below hashes.
-        token_lists = [chunk.tokens for chunk in chunks] + [lst for src in self._sources.values() for lst in src]
-        embedder.register(chain.from_iterable(token_lists))
-        self._chunk_sums = [embedder.sum_vector(chunk.tokens) for chunk in chunks]
-        self._run_sums: dict[tuple, np.ndarray] = {}
-
-    def _run_sum(self, chunk: Chunk, src: ContextSources, field: str, n: int) -> np.ndarray:
-        owner = chunk.doc_id if field in PER_DOCUMENT_SOURCES else (chunk.doc_id, chunk.section_index)
-        total = self._run_sums.get((field, owner, n))
-        if total is None:
-            total = self._run_sums[field, owner, n] = self._embedder.sum_vector(getattr(src, field)[:n])
-        return total
-
-    def vectors(self, strat: InjectionStrategy) -> tuple[np.ndarray, list[float]]:
-        """Unit vectors and CIRs of every chunk enriched under *strat*, in chunk order."""
-        out = np.empty((len(self.chunks), self._embedder.config.dim))
-        cirs: list[float] = []
-        for i, (chunk, chunk_sum) in enumerate(zip(self.chunks, self._chunk_sums)):
-            src = self._sources[chunk.doc_id, chunk.section_index]
-            lay = context_layout(src, chunk.length, strat)
-            total = chunk_sum.copy()
-            for field, n, copies in lay.runs(src):
-                run_sum = self._run_sum(chunk, src, field, n)
-                total += run_sum if copies == 1 else copies * run_sum  # one copy needs no temporary
-            out[i] = unit(total / (chunk.length + lay.length))
-            cirs.append(compute_cir(lay.length, chunk.length))
-        return out, cirs
-
-
 def evaluate_strategy(
     sums: EnrichedSums,
     queries: Sequence[QuerySpec],
@@ -362,14 +307,21 @@ def _from_record(rec: dict) -> str | MetricRow | SweepFlags:
 
 
 def parse_report_jsonl(path: str | Path) -> SweepReport:
+    """Read a sweep.jsonl: one sweep record, the rows, and one flags record equal to ``sweep_flags`` of the rows.
+
+    A missing or repeated sweep or flags record, or flags that disagree with
+    the rows, is a CorpusFormatError naming *path*.
+    """
     records = read_jsonl(path, _from_record)
     digests = [r for r in records if isinstance(r, str)]
     flags = [r for r in records if isinstance(r, SweepFlags)]
-    return SweepReport(
-        config_digest=digests[-1] if digests else "",
-        rows=[r for r in records if isinstance(r, MetricRow)],
-        flags=flags[-1] if flags else SweepFlags(False, None),
-    )
+    rows = [r for r in records if isinstance(r, MetricRow)]
+    for kind, found in (("sweep", digests), ("flags", flags)):
+        if len(found) != 1:
+            raise CorpusFormatError(f"{path}: expected one {kind} record, found {len(found)}")
+    if flags[0] != sweep_flags(rows):
+        raise CorpusFormatError(f"{path}: the flags record {flags[0]} disagrees with the rows' {sweep_flags(rows)}")
+    return SweepReport(digests[0], rows, flags[0])
 
 
 def emit_report(report: SweepReport, fmt: str, out_dir: str | Path, header: dict | None = None) -> list[Path]:

@@ -1,4 +1,4 @@
-"""Context-block construction, CIR accounting, and injection strategies.
+"""Context blocks: how they are built, summed and measured, under each injection strategy.
 
 A context block is a token list prepended to a chunk before embedding. The
 five static strategies target fixed context-injection-ratio bands by sizing
@@ -9,19 +9,31 @@ first and summary second, with no padding and no metadata.
 ``context_layout`` is the one place a block is sized and composed: it gives
 each piece's length over the section's ``ContextSources``, and its ``runs``
 list the block in order as leading slices of those sources. ``build_context``
-materializes the runs; the sweep adds up their token-vector sums.
+materializes the runs; ``EnrichedSums`` adds up their token-vector sums, and
+``effective_lambda`` measures the context's mixing weight in an embedding.
+
+``EnrichedSums`` embeds by mixing integer sums, not by embedding enriched
+token lists. Each chunk's token vectors are summed once; each run of a
+block's layout is summed once per sweep. An enriched chunk's vector is
+``(chunk_sum + context_sum) / (L_c + L_I)``, normalized. Every component
+of these sums is an integer, so the vector equals ``embed`` of the
+enriched tokens bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from ._io import read_jsonl, write_jsonl
 from .chunking import Chunk, parse_chunk_id
 from .corpus import Document
-from .errors import ConfigError
+from .embedding import Embedder, EmbedderConfig, get_embedder, unit
+from .errors import ConfigError, DegenerateMixError
 
 STRATEGY_KINDS = ("baseline", "low", "medium", "high", "overload", "ddai")
 
@@ -110,6 +122,27 @@ class EnrichedChunk:
         return compute_cir(len(self.context), self.base.length)
 
 
+def effective_lambda(enriched: EnrichedChunk, config: EmbedderConfig) -> float:
+    """Exact mixing weight of the context component inside embed(enriched.tokens).
+
+    Solved by projecting the full-sequence mean onto the line between the
+    chunk mean and the context mean; under mean pooling this equals the
+    chunk's context injection ratio to within float error. Raises
+    DegenerateMixError when the two means coincide: no weight is measured.
+    """
+    if len(enriched.context) == 0:
+        return 0.0
+    emb = get_embedder(config)
+    a = emb.mean_vector(enriched.context)
+    b = emb.mean_vector(enriched.base.tokens)
+    v = emb.mean_vector(enriched.tokens)
+    d = a - b
+    den = float(d @ d)
+    if den < 1e-18:
+        raise DegenerateMixError("context mean equals chunk mean; the mixing weight is not measurable")
+    return float((v - b) @ d / den)
+
+
 def document_digest(doc: Document) -> list[str]:
     """Deterministic extractive summary: the leading tokens of every section."""
     out: list[str] = []
@@ -142,7 +175,7 @@ class ContextSources(NamedTuple):
 
 
 # The ContextSources fields that depend on the document alone, not on the section.
-PER_DOCUMENT_SOURCES = frozenset({"digest", "metadata"})
+_PER_DOCUMENT_SOURCES = frozenset({"digest", "metadata"})
 
 
 def context_sources(doc: Document, chunk: Chunk) -> ContextSources:
@@ -218,6 +251,52 @@ def build_context(doc: Document, chunk: Chunk, strat: InjectionStrategy) -> list
     for field, n, copies in context_layout(src, chunk.length, strat).runs(src):
         block += getattr(src, field)[:n] * copies
     return block
+
+
+class EnrichedSums:
+    """The sweep's chunk vectors under each strategy, from integer token-vector sums.
+
+    Each chunk is summed once, and each run of a block's layout once per
+    source list and length: per document for the lists that depend on the
+    document alone, per section for the rest. A run's copies multiply its
+    sum. The sums live as long as this object: one sweep, one embedder.
+    """
+
+    def __init__(self, chunks: Sequence[Chunk], doc_by_id: dict[str, Document], embedder: Embedder):
+        self.chunks = chunks
+        self._embedder = embedder
+        self._sources: dict[tuple[str, int], ContextSources] = {}
+        for chunk in chunks:
+            section = (chunk.doc_id, chunk.section_index)
+            if section not in self._sources:
+                self._sources[section] = context_sources(doc_by_id[chunk.doc_id], chunk)
+        # Every token the sums will see, hashed in one pass; no sum_vector call below hashes.
+        token_lists = [chunk.tokens for chunk in chunks] + [lst for src in self._sources.values() for lst in src]
+        embedder.register(chain.from_iterable(token_lists))
+        self._chunk_sums = [embedder.sum_vector(chunk.tokens) for chunk in chunks]
+        self._run_sums: dict[tuple, np.ndarray] = {}
+
+    def _run_sum(self, chunk: Chunk, src: ContextSources, field: str, n: int) -> np.ndarray:
+        owner = chunk.doc_id if field in _PER_DOCUMENT_SOURCES else (chunk.doc_id, chunk.section_index)
+        total = self._run_sums.get((field, owner, n))
+        if total is None:
+            total = self._run_sums[field, owner, n] = self._embedder.sum_vector(getattr(src, field)[:n])
+        return total
+
+    def vectors(self, strat: InjectionStrategy) -> tuple[np.ndarray, list[float]]:
+        """Unit vectors and CIRs of every chunk enriched under *strat*, in chunk order."""
+        out = np.empty((len(self.chunks), self._embedder.config.dim))
+        cirs: list[float] = []
+        for i, (chunk, chunk_sum) in enumerate(zip(self.chunks, self._chunk_sums)):
+            src = self._sources[chunk.doc_id, chunk.section_index]
+            lay = context_layout(src, chunk.length, strat)
+            total = chunk_sum.copy()
+            for field, n, copies in lay.runs(src):
+                run_sum = self._run_sum(chunk, src, field, n)
+                total += run_sum if copies == 1 else copies * run_sum  # one copy needs no temporary
+            out[i] = unit(total / (chunk.length + lay.length))
+            cirs.append(compute_cir(lay.length, chunk.length))
+        return out, cirs
 
 
 def enrich(chunk: Chunk, context: list[str]) -> EnrichedChunk:

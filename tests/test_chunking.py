@@ -93,6 +93,9 @@ def test_chunk_id_round_trip():
     assert parse_chunk_id(cid) == ("technical-0003", 7, 500)
     with pytest.raises(ValueError):
         parse_chunk_id("nonsense")
+    for malformed in ("technical-0003:x007:t00500", "technical-0003:s007:o00500"):
+        with pytest.raises(ValueError, match="malformed chunk id"):
+            parse_chunk_id(malformed)
 
 
 def test_chunk_ids_unique(small_corpus):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cirbench import (
+    Chunk,
     CorpusConfig,
     EmbedderConfig,
     build_context,
@@ -15,11 +16,13 @@ from cirbench import (
     generate_corpus,
     get_embedder,
     load_index,
+    make_chunk_id,
     search,
     strategy,
 )
 from cirbench._hash import fork_seed
 from cirbench._io import read_run_config
+from cirbench.chunking import write_chunks
 from cirbench.cli import EXIT_FORMAT, EXIT_MISSING, EXIT_OK, EXIT_USAGE, build_parser, main
 from cirbench.corpus import SPECIFIC, split_doc_count
 from cirbench.errors import IndexFormatError
@@ -416,3 +419,67 @@ def test_reused_parser_help_equals_a_fresh_parsers(capsys, command):
 
     first, again = help_text(main), help_text(main)
     assert first == again == help_text(build_parser().parse_args)
+
+
+def test_inject_refuses_chunks_of_a_document_the_corpus_lacks(tmp_path, capsys):
+    corpus, chunks, enriched = (tmp_path / name for name in ("corpus.jsonl", "chunks.jsonl", "enriched.jsonl"))
+    assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
+    write_chunks([Chunk(make_chunk_id("normative-0099", 0, 0), "normative-0099", 0, ["h"], ["a", "b"])], chunks)
+    argv = ["inject", "--corpus", str(corpus), "--chunks", str(chunks), "--strategy", "low", "--out", str(enriched)]
+    assert main(argv) == EXIT_FORMAT
+    assert "unknown documents ['normative-0099']" in capsys.readouterr().err
+    assert not enriched.exists()
+
+
+def test_query_text_without_tokens_is_a_usage_error(tmp_path, capsys):
+    vectors = tmp_path / "vectors.cirx"
+    save_index(build_index([("c0", "d0", 0, np.eye(8)[0])], hash_seed=5), vectors)
+    assert main(["query", "--index", str(vectors), "--text", "!!"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "no tokens" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text, message", [("seed = 11\ndocs 6\n", "line 2: expected 'key = value'"), ("docs = six\n", "invalid value for docs")]
+)
+def test_bad_config_file_line_is_format_error(tmp_path, capsys, text, message):
+    cfg, corpus = tmp_path / "run.cfg", tmp_path / "corpus.jsonl"
+    cfg.write_text(text)
+    assert main(["gen", "--config", str(cfg), "--out", str(corpus)]) == EXIT_FORMAT
+    assert message in capsys.readouterr().err
+    assert not corpus.exists()
+
+
+def test_corpus_without_its_query_block_is_format_error(tmp_path, capsys):
+    corpus, chunks = tmp_path / "corpus.jsonl", tmp_path / "chunks.jsonl"
+    assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
+    lines = corpus.read_text().splitlines()
+    assert json.loads(lines[-1])["type"] == "queries"
+    corpus.write_text("\n".join(lines[:-1]) + "\n")
+    assert main(["chunk", "--corpus", str(corpus), "--out", str(chunks)]) == EXIT_FORMAT
+    assert f"{corpus}: missing trailing query block" in capsys.readouterr().err
+
+
+def test_index_of_an_unknown_version_is_format_error(tmp_path, capsys):
+    vectors = tmp_path / "vectors.cirx"
+    save_index(build_index([("c0", "d0", 0, np.eye(8)[0])], hash_seed=5), vectors)
+    data = bytearray(vectors.read_bytes())
+    data[4:6] = (3).to_bytes(2, "little")
+    vectors.write_bytes(bytes(data))
+    assert main(["query", "--index", str(vectors), "--text", "a b"]) == EXIT_FORMAT
+    assert f"{vectors}: unsupported version 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("drop", ["sweep", "flags"])
+def test_report_refuses_a_sweep_file_missing_a_record(tmp_path, capsys, drop):
+    out = tmp_path / "out"
+    assert main(["sweep", *SMALL, "--out-dir", str(out)]) == EXIT_OK
+    sweep = out / "sweep.jsonl"
+    lines = [line for line in sweep.read_text().splitlines() if json.loads(line)["type"] != drop]
+    sweep.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for fmt in ("csv", "jsonl"):
+        argv = ["report", "--sweep", str(sweep), "--format", fmt, "--out-dir", str(tmp_path / fmt)]
+        assert main(argv) == EXIT_FORMAT
+        assert f"{sweep}: expected one {drop} record, found 0" in capsys.readouterr().err
+        assert not (tmp_path / fmt).exists()

@@ -176,6 +176,10 @@ def test_config_validation_names_field():
         CorpusConfig(chunk_token_target=8).validate()
     with pytest.raises(ConfigError, match="specific_fraction"):
         CorpusConfig(specific_fraction=1.5).validate()
+    with pytest.raises(ConfigError, match="doc_counts: counts must be >= 0"):
+        CorpusConfig(doc_counts={"normative": 3, "technical": -1, "transactional": 2}).validate()
+    with pytest.raises(ConfigError, match="query_count"):
+        CorpusConfig(query_count=-1).validate()
 
 
 def _filler_by_random(rng, count, typology, section_words, field_words, shared):

@@ -15,13 +15,10 @@ from cirbench import (
     MixDecomposition,
     dilution_curve,
     effective_lambda,
-    embed,
     enrich,
     get_embedder,
     make_chunk_id,
     mix,
-    similarity,
-    token_vector,
 )
 from cirbench._hash import fnv1a64, splitmix64
 from cirbench.chunking import Chunk
@@ -29,6 +26,7 @@ from cirbench.embedding import _IDX_SALT, BULK_HASH_MIN, NONZEROS_PER_TOKEN, cur
 from cirbench.errors import ConfigError, DegenerateMixError, EmbeddingError
 
 CFG = EmbedderConfig(dim=256, hash_seed=17)
+EMB = get_embedder(CFG)
 
 
 def _random_words(rng: random.Random, n: int) -> list[str]:
@@ -59,15 +57,15 @@ def test_config_validation():
 
 
 def test_token_vector_deterministic():
-    a = token_vector("pesticide", CFG)
-    b = token_vector("pesticide", CFG)
+    a = EMB.token_vector("pesticide")
+    b = EMB.token_vector("pesticide")
     assert np.array_equal(a, b)
-    other = token_vector("pesticide", EmbedderConfig(dim=256, hash_seed=18))
+    other = get_embedder(EmbedderConfig(dim=256, hash_seed=18)).token_vector("pesticide")
     assert not np.array_equal(a, other)
 
 
 def test_token_vector_structure():
-    v = token_vector("anything", CFG)
+    v = EMB.token_vector("anything")
     nonzero = v[v != 0]
     assert len(nonzero) == NONZEROS_PER_TOKEN
     assert set(np.abs(nonzero)) == {1.0}
@@ -88,23 +86,25 @@ def test_distinct_tokens_nearly_orthogonal():
 
 
 def test_embed_single_token_is_normalized_token_vector():
-    v = token_vector("solo", CFG)
-    assert np.allclose(embed(["solo"], CFG), v / np.linalg.norm(v), atol=1e-12)
+    v = EMB.token_vector("solo")
+    assert np.allclose(EMB.embed(["solo"]), v / np.linalg.norm(v), atol=1e-12)
 
 
 def test_embed_is_unit_norm_and_permutation_invariant():
     rng = random.Random(9)
     tokens = _random_words(rng, 120)
-    v = embed(tokens, CFG)
+    v = EMB.embed(tokens)
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
     shuffled = list(tokens)
     rng.shuffle(shuffled)
-    assert np.array_equal(embed(shuffled, CFG), v)
+    assert np.array_equal(EMB.embed(shuffled), v)
 
 
 def test_embed_empty_is_error():
     with pytest.raises(EmbeddingError):
-        embed([], CFG)
+        EMB.embed([])
+    with pytest.raises(EmbeddingError, match="empty token sequence"):
+        EMB.embed_many([["a", "b"], []])
 
 
 def test_mean_pooling_linearity():
@@ -120,19 +120,19 @@ def test_mean_pooling_linearity():
 
 
 def test_similarity_trivials():
-    v = embed(["a", "b", "c"], CFG)
-    assert similarity(v, v) == pytest.approx(1.0, abs=1e-12)
-    assert similarity(v, -v) == pytest.approx(-1.0, abs=1e-12)
+    v = EMB.embed(["a", "b", "c"])
+    assert float(v @ v) == pytest.approx(1.0, abs=1e-12)
+    assert float(v @ -v) == pytest.approx(-1.0, abs=1e-12)
     e0 = np.zeros(256)
     e0[0] = 1.0
     e1 = np.zeros(256)
     e1[1] = 1.0
-    assert similarity(e0, e1) == 0.0
+    assert float(e0 @ e1) == 0.0
 
 
 def test_mix_endpoints_exact():
-    v_local = embed(["local", "data"], CFG)
-    v_global = embed(["global", "topic"], CFG)
+    v_local = EMB.embed(["local", "data"])
+    v_global = EMB.embed(["global", "topic"])
     assert np.array_equal(mix(MixDecomposition(v_local, v_global, 0.0)), v_local)
     assert np.array_equal(mix(MixDecomposition(v_local, v_global, 1.0)), v_global)
 
@@ -143,12 +143,12 @@ def test_mix_orthogonal_midpoint():
     e1 = np.zeros(16)
     e1[1] = 1.0
     mixed = mix(MixDecomposition(e0, e1, 0.5))
-    assert similarity(mixed, e0) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+    assert float(mixed @ e0) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
     assert mixed[0] == pytest.approx(0.5 / math.hypot(0.5, 0.5), abs=1e-12)
 
 
 def test_mix_antipodal_degenerate():
-    v = embed(["x", "y", "z"], CFG)
+    v = EMB.embed(["x", "y", "z"])
     with pytest.raises(DegenerateMixError):
         mix(MixDecomposition(v, -v, 0.5))
     with pytest.raises(ValueError):
@@ -196,7 +196,7 @@ def test_dilution_curve_nonpositive_global_peaks_at_zero():
 
 
 def test_dilution_curve_propagates_degenerate_mix():
-    v = embed(["p", "q"], CFG)
+    v = EMB.embed(["p", "q"])
     with pytest.raises(DegenerateMixError):
         dilution_curve(v, v, -v, 11)
 

@@ -306,6 +306,12 @@ def test_emit_report_empty_is_header_only(tmp_path):
     assert path.read_text() == CSV_HEADER + "\n"
 
 
+def test_emit_report_unknown_format_is_a_value_error(tmp_path):
+    with pytest.raises(ValueError, match="unknown report format 'xml'"):
+        emit_report(SweepReport("deadbeef", [], SweepFlags(False, None)), "xml", tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_emit_report_plotdata_series_count(tmp_path):
     rows = [
         MetricRow("baseline", 0.0, 0.5, 0.8, 0.4, 0.1, None),

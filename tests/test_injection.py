@@ -22,8 +22,8 @@ from cirbench.chunking import Chunk
 from cirbench.corpus import Document, Section
 from cirbench.embedding import Embedder, EmbedderConfig
 from cirbench.errors import ConfigError
-from cirbench.evaluation import EnrichedSums
 from cirbench.injection import (
+    EnrichedSums,
     context_layout,
     context_sources,
     document_digest,

@@ -107,3 +107,48 @@ def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
     with pytest.raises(OSError):
         atomic_write_bytes(target, b"payload")
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+def test_atomic_write_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    umask = os.umask(0o027)
+    try:
+        def refuse(mask):
+            raise AssertionError("os.umask called: it changes the umask of every thread")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        atomic_write_bytes(tmp_path / "out.bin", b"payload")
+    finally:
+        monkeypatch.undo()
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "out.bin").stat().st_mode) == 0o666 & ~0o027
+
+
+def _report_lines(tmp_path) -> list[str]:
+    rows = [MetricRow("baseline", 0.0, 0.5, 0.8, 0.4, 0.1, None), MetricRow("high", 0.6, 0.4, 0.3, 0.9, 0.7, 0.5)]
+    (path,) = emit_report(SweepReport("cafe01234567", rows, sweep_flags(rows)), "jsonl", tmp_path, {"seed": 7})
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ("no sweep record", "expected one sweep record, found 0"),
+        ("no flags record", "expected one flags record, found 0"),
+        ("two sweep records", "expected one sweep record, found 2"),
+        ("two flags records", "expected one flags record, found 2"),
+        ("flags that disagree with the rows", "the flags record .* disagrees with the rows'"),
+    ],
+)
+def test_report_reader_requires_one_sweep_and_one_agreeing_flags_record(tmp_path, defect, message):
+    header, sweep, *rows, flags = _report_lines(tmp_path)
+    lines = {
+        "no sweep record": [header, *rows, flags],
+        "no flags record": [header, sweep, *rows],
+        "two sweep records": [header, sweep, *rows, flags, sweep],
+        "two flags records": [header, sweep, *rows, flags, flags],
+        "flags that disagree with the rows": [header, sweep, *rows, flags.replace('"inverted_u": false', '"inverted_u": true')],
+    }[defect]
+    path = tmp_path / "edited.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusFormatError, match=f"{path}: {message}"):
+        parse_report_jsonl(path)

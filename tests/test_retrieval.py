@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from cirbench import build_index, load_index, save_index, search
+from cirbench import VectorIndex, build_index, load_index, save_index, search
 from cirbench.errors import IndexFormatError, IndexValidationError
 
 
@@ -258,3 +258,20 @@ def test_version_1_file_rejected(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(IndexFormatError, match="re-run `cirbench embed`"):
         load_index(path)
+
+
+def test_index_columns_of_unequal_length_rejected():
+    vecs = np.eye(3, 4)
+    with pytest.raises(IndexValidationError, match="shape mismatch"):
+        VectorIndex(4, ["a", "b", "c"], ["d", "d"], [0, 0, 0], vecs)
+    with pytest.raises(IndexValidationError, match="shape mismatch"):
+        VectorIndex(4, ["a", "b", "c"], ["d", "d", "d"], [0, 0], vecs)
+    with pytest.raises(IndexValidationError, match="shape mismatch"):
+        VectorIndex(4, ["a", "b"], ["d", "d"], [0, 0], vecs)
+
+
+def test_index_hash_seed_outside_u64_rejected():
+    vecs = np.eye(2, 4)
+    with pytest.raises(IndexValidationError, match="u64"):
+        VectorIndex(4, ["a", "b"], ["d", "d"], [0, 0], vecs, hash_seed=1 << 64)
+    assert VectorIndex(4, ["a", "b"], ["d", "d"], [0, 0], vecs, hash_seed=(1 << 64) - 1).count == 2
