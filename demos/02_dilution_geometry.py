@@ -49,9 +49,9 @@ b = float(query @ v_global)
 print(f"sim(query, local)  a = {a:+.4f}")
 print(f"sim(query, global) b = {b:+.4f}\n")
 
-points = dilution_curve(query, v_local, v_global, 21)
-peak_lam, peak_sim = max(points, key=lambda p: p[1])
-for lam, sim in points[::2]:
+lams, sims = dilution_curve(query, v_local, v_global, 21)
+peak_lam = lams[int(np.argmax(sims))]
+for lam, sim in zip(lams[::2], sims[::2]):
     marker = "  <-- peak" if lam == peak_lam else ""
     print(f"  weight {lam:4.2f}  sim {sim:+.4f}  {'*' * max(0, int(40 * sim))}{marker}")
 

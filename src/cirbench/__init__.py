@@ -23,14 +23,7 @@ from .corpus import (
     generate_corpus,
     serialize_corpus,
 )
-from .embedding import (
-    Embedder,
-    EmbedderConfig,
-    MixDecomposition,
-    dilution_curve,
-    get_embedder,
-    mix,
-)
+from .embedding import Embedder, EmbedderConfig, dilution_curve, get_embedder
 from .evaluation import (
     MetricRow,
     SweepFlags,
@@ -68,7 +61,6 @@ __all__ = [
     "Hit",
     "InjectionStrategy",
     "MetricRow",
-    "MixDecomposition",
     "QuerySpec",
     "Section",
     "SweepFlags",
@@ -91,7 +83,6 @@ __all__ = [
     "homogenization",
     "load_index",
     "make_chunk_id",
-    "mix",
     "ndcg_at_k",
     "parse_chunk_id",
     "recall_at_k",

@@ -12,8 +12,6 @@ _MASK64 = (1 << 64) - 1
 
 FNV64_OFFSET = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
-# One numpy step costs about as much as hashing 32 bytes in Python.
-_FEW_FOR_NUMPY = 32
 
 
 def fnv1a64(data: bytes, basis: int = FNV64_OFFSET) -> int:
@@ -34,11 +32,7 @@ def splitmix64(state: int) -> tuple[int, int]:
 
 
 def fnv1a64_many(data: list[bytes]) -> np.ndarray:
-    """``fnv1a64`` of each byte string, as a uint64 array.
-
-    One numpy step per byte position, while at least ``_FEW_FOR_NUMPY``
-    strings are that long; the tails of the longest few go through ``fnv1a64``.
-    """
+    """``fnv1a64`` of each byte string, as a uint64 array: one numpy step per byte position."""
     lengths = np.fromiter(map(len, data), dtype=np.intp, count=len(data))
     # Longest first, so the strings still being hashed at position j are a prefix.
     order = np.argsort(-lengths, kind="stable")
@@ -47,10 +41,6 @@ def fnv1a64_many(data: list[bytes]) -> np.ndarray:
     h = np.full(len(data), FNV64_OFFSET, dtype=np.uint64)
     for j in range(int(lengths.max(initial=0))):
         n = np.count_nonzero(lengths > j)
-        if n < _FEW_FOR_NUMPY:
-            for i in range(n):
-                h[i] = fnv1a64(data[order[i]][j:], int(h[i]))
-            break
         h[:n] = (h[:n] ^ buf[starts[:n] + j]) * np.uint64(FNV64_PRIME)
     out = np.empty_like(h)
     out[order] = h

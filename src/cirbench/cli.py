@@ -95,7 +95,10 @@ def _inherit(resolved: dict, path: str) -> None:
 
 
 def _resolve(args: argparse.Namespace, inherit_from: str | None = None) -> dict:
-    """Merge defaults, the input file's run_config, config file, and explicit flags (flags win)."""
+    """Merge defaults, the input file's run_config, config file, and explicit flags (flags win).
+
+    The result, in ``_FIELDS`` order with one normalized strategies string, is every output's provenance header.
+    """
     resolved = {name: default for name, (_, default, _) in _FIELDS.items()}
     if inherit_from is not None:
         _inherit(resolved, inherit_from)
@@ -113,7 +116,7 @@ def _resolve(args: argparse.Namespace, inherit_from: str | None = None) -> dict:
             resolved[key] = flag
     if resolved["hash_seed"] is None:
         resolved["hash_seed"] = fork_seed(resolved["seed"], "embed") % (1 << 62)
-    resolved["strategies"] = [s.strip() for s in resolved["strategies"].split(",") if s.strip()]
+    resolved["strategies"] = ",".join(s.strip() for s in resolved["strategies"].split(",") if s.strip())
     return resolved
 
 
@@ -127,16 +130,10 @@ def _corpus_config(resolved: dict) -> CorpusConfig:
     )
 
 
-def _provenance(resolved: dict) -> dict:
-    out = {k: resolved[k] for k in _FIELDS}
-    out["strategies"] = ",".join(resolved["strategies"])
-    return out
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     docs, queries = generate_corpus(_corpus_config(resolved))
-    serialize_corpus(docs, queries, args.out, header=_provenance(resolved))
+    serialize_corpus(docs, queries, args.out, header=resolved)
     print(f"wrote {len(docs)} documents and {len(queries)} queries to {args.out}")
     return EXIT_OK
 
@@ -145,7 +142,7 @@ def cmd_chunk(args: argparse.Namespace) -> int:
     resolved = _resolve(args, args.corpus)
     docs, _ = deserialize_corpus(args.corpus)
     chunks = [c for doc in docs for c in chunk_document(doc, resolved["chunk_target"])]
-    write_chunks(chunks, args.out, header=_provenance(resolved))
+    write_chunks(chunks, args.out, header=resolved)
     print(f"wrote {len(chunks)} chunks to {args.out}")
     return EXIT_OK
 
@@ -160,7 +157,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
         raise FormatError(f"{args.chunks}: chunks reference unknown documents {missing[:3]}")
     strat = InjectionStrategy(args.strategy, resolved["t_max"])
     enriched = [enrich(c, build_context(doc_by_id[c.doc_id], c, strat)) for c in chunks]
-    write_enriched(enriched, strat.kind, args.out, header=_provenance(resolved))
+    write_enriched(enriched, strat.kind, args.out, header=resolved)
     print(f"wrote {len(enriched)} enriched chunks ({strat.kind}) to {args.out}")
     return EXIT_OK
 
@@ -185,13 +182,11 @@ def cmd_query(args: argparse.Namespace) -> int:
     if index.count == 0:
         raise FormatError(f"{args.index}: the index holds no rows, so there is nothing to query")
     if args.hash_seed is not None and args.hash_seed != index.hash_seed:
-        print(f"error: --hash-seed {args.hash_seed} disagrees with the index's {index.hash_seed}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"--hash-seed {args.hash_seed} disagrees with the index's {index.hash_seed}")
     config = EmbedderConfig(dim=index.dim, hash_seed=index.hash_seed)
     tokens = tokenize(args.text)
     if not tokens:
-        print("error: query text produced no tokens", file=sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError("query text produced no tokens")
     qvec = get_embedder(config).embed(tokens)
     for rank, hit in enumerate(search(index, qvec, args.k), start=1):
         print(f"{rank}\t{hit.chunk_id}\t{hit.doc_id}\t{hit.section_index}\t{hit.score:.6f}")
@@ -200,13 +195,12 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
-    strategies = [InjectionStrategy(kind, resolved["t_max"]) for kind in resolved["strategies"]]
+    strategies = [InjectionStrategy(kind, resolved["t_max"]) for kind in resolved["strategies"].split(",") if kind]
     embed_config = EmbedderConfig(dim=resolved["dim"], hash_seed=resolved["hash_seed"])
     docs, queries = generate_corpus(_corpus_config(resolved))
     report = run_sweep(docs, queries, strategies, embed_config, chunk_target=resolved["chunk_target"])
-    header = _provenance(resolved)
-    written = [path for fmt in ("csv", "jsonl") for path in emit_report(report, fmt, _out_dir(args), header)]
-    print(report_csv(report, header), end="")
+    written = [path for fmt in ("csv", "jsonl") for path in emit_report(report, fmt, _out_dir(args), resolved)]
+    print(report_csv(report, resolved), end="")
     print(f"wrote {written[0]} and {written[1]}")
     return EXIT_OK
 

@@ -489,9 +489,11 @@ def _from_record(rec: dict) -> Document | list[QuerySpec]:
 
 
 def deserialize_corpus(path: str | Path) -> tuple[list[Document], list[QuerySpec]]:
-    """Read a corpus file back; raises CorpusFormatError with a line number."""
+    """Read a corpus file back: documents, then one query block as the last record, else CorpusFormatError."""
     records = read_jsonl(path, _from_record, unique="doc_id")
-    query_blocks = [r for r in records if isinstance(r, list)]
-    if not query_blocks:
+    blocks = sum(isinstance(r, list) for r in records)
+    if not blocks:
         raise CorpusFormatError(f"{path}: missing trailing query block")
-    return [r for r in records if isinstance(r, Document)], query_blocks[-1]
+    if blocks > 1 or not isinstance(records[-1], list):
+        raise CorpusFormatError(f"{path}: expected one query block, as the last record; found {blocks}")
+    return records[:-1], records[-1]

@@ -1,4 +1,4 @@
-"""Tokens to vectors, and the pure geometry of mixing two vectors.
+"""Tokens to vectors, and the dilution curve of mixing two vectors.
 
 A token maps to a sparse vector with exactly four nonzero components of
 magnitude one; a text embeds as the L2-normalized mean of its token
@@ -6,6 +6,8 @@ vectors. Mean pooling makes the enrichment mixing model exact: prepending
 a context block of length ``L_I`` to a chunk of length ``L_c`` yields a
 pre-normalization vector that is the convex combination of the two
 component means with weight ``L_I / (L_I + L_c)`` on the context side.
+``dilution_curve`` is the one function that forms that normalized mix: it
+gives a query's similarity to it along a grid of weights in [0, 1].
 An ``Embedder`` holds one token table (a dict from token to row, plus
 ``(rows, 4)`` arrays of component indices and signs) and pools a text by
 summing its tokens' rows with a single ``np.bincount``; ``embed_many``
@@ -206,38 +208,17 @@ def get_embedder(config: EmbedderConfig) -> Embedder:
     return emb
 
 
-@dataclass
-class MixDecomposition:
-    """Unit local/global components and the mixing weight on the global side."""
-
-    v_local: np.ndarray
-    v_global: np.ndarray
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lam must lie in [0, 1]")
-
-
-def mix(dec: MixDecomposition) -> np.ndarray:
-    """Normalized convex combination (1 - lam) * v_local + lam * v_global."""
-    if dec.lam == 0.0:
-        return np.array(dec.v_local, dtype=np.float64, copy=True)
-    if dec.lam == 1.0:
-        return np.array(dec.v_global, dtype=np.float64, copy=True)
-    v = (1.0 - dec.lam) * np.asarray(dec.v_local, dtype=np.float64) + dec.lam * np.asarray(
-        dec.v_global, dtype=np.float64
-    )
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-12:
-        raise DegenerateMixError("mix collapsed to zero (antipodal inputs near lam = 0.5)")
-    return v / norm
-
-
-def curve_values(
+def dilution_curve(
     q: np.ndarray, v_local: np.ndarray, v_global: np.ndarray, grid_points: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized similarity-versus-lambda curve on a uniform grid in [0, 1]."""
+    """Similarity of *q* against the normalized mix ``(1 - lam) * v_local + lam * v_global``.
+
+    Returns ``(lams, sims)``: a uniform grid of *grid_points* weights in
+    [0, 1] and the similarity at each. Endpoints evaluate to sim(q, v_local)
+    and sim(q, v_global); the angles behind the similarities are
+    recoverable as arccos of the values. A mix that collapses to zero
+    anywhere on the grid raises DegenerateMixError.
+    """
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     lams = np.linspace(0.0, 1.0, grid_points)
@@ -248,15 +229,3 @@ def curve_values(
         raise DegenerateMixError("mix collapsed to zero along the lambda grid")
     sims = (m @ np.asarray(q, dtype=np.float64)) / norms
     return lams, sims
-
-
-def dilution_curve(
-    q: np.ndarray, v_local: np.ndarray, v_global: np.ndarray, grid_points: int
-) -> list[tuple[float, float]]:
-    """Similarity of *q* against the mixed vector along a lambda grid.
-
-    Endpoints evaluate to sim(q, v_local) and sim(q, v_global); the angles
-    behind the similarities are recoverable as arccos of the values.
-    """
-    lams, sims = curve_values(q, v_local, v_global, grid_points)
-    return list(zip(lams.tolist(), sims.tolist()))

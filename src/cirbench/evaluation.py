@@ -230,6 +230,8 @@ def run_sweep(
     """
     if not documents or not queries:
         raise ConfigError("run_sweep needs a non-empty corpus and query set")
+    if not strategies:
+        raise ConfigError("strategies: the sweep needs at least one strategy")
     embedder = get_embedder(embed_config)
     chunks: list[Chunk] = []
     for doc in documents:

@@ -37,7 +37,6 @@ from cirbench._hash import fork_seed
 from cirbench.chunking import Chunk
 from cirbench.cli import EXIT_OK, main
 from cirbench.corpus import SPECIFIC, THEMATIC, QuerySpec
-from cirbench.embedding import curve_values
 from cirbench.retrieval import Hit
 
 REFERENCE_SEED = 42
@@ -151,7 +150,7 @@ def test_criterion_4_dilution_geometry():
             q = a * v_local + b * v_global
             q[2] = math.sqrt(1.0 - a * a - b * b)
 
-            lams, sims = curve_values(q, v_local, v_global, grid)
+            lams, sims = dilution_curve(q, v_local, v_global, grid)
             peak = int(np.argmax(sims))
             # unimodal: non-decreasing up to the peak, non-increasing after
             assert np.all(np.diff(sims[: peak + 1]) >= -1e-9)
@@ -162,8 +161,8 @@ def test_criterion_4_dilution_geometry():
                 assert peak == 0
                 assert np.all(sims[1:] < sims[0])
         # public API spot check on the closed-form case
-        pts = dilution_curve(np.eye(8)[0], np.eye(8)[0], np.eye(8)[1], 101)
-        assert pts[50][1] == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+        _, sims = dilution_curve(np.eye(8)[0], np.eye(8)[0], np.eye(8)[1], 101)
+        assert sims[50] == pytest.approx(1 / math.sqrt(2), abs=1e-9)
         assert time.perf_counter() - started < 10.0
 
 

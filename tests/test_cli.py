@@ -276,6 +276,21 @@ def test_sweep_csv_has_flags_and_config_lines(tmp_path, capsys):
     assert any(l.startswith("# config: ") for l in lines)
 
 
+def test_sweep_records_the_normalized_strategy_list(tmp_path):
+    out = tmp_path / "out"
+    assert main(["sweep", *SMALL, "--strategies", " low, ddai,,baseline", "--out-dir", str(out)]) == EXIT_OK
+    config = [l for l in (out / "sweep.csv").read_text().splitlines() if l.startswith("# config: ")]
+    assert len(config) == 1 and " strategies=low,ddai,baseline " in config[0]
+    assert read_run_config(out / "sweep.jsonl")["strategies"] == "low,ddai,baseline"
+
+
+def test_empty_strategy_list_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", *SMALL, "--strategies", ",", "--out-dir", str(out)]) == EXIT_USAGE
+    assert "error: strategies: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_input_exit_code(tmp_path, capsys):
     assert main(["chunk", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o.jsonl")]) == EXIT_MISSING
     assert "missing input" in capsys.readouterr().err
@@ -458,6 +473,26 @@ def test_corpus_without_its_query_block_is_format_error(tmp_path, capsys):
     corpus.write_text("\n".join(lines[:-1]) + "\n")
     assert main(["chunk", "--corpus", str(corpus), "--out", str(chunks)]) == EXIT_FORMAT
     assert f"{corpus}: missing trailing query block" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("defect", ["second block", "block not last"])
+def test_corpus_needs_exactly_one_query_block_as_its_last_record(tmp_path, capsys, defect):
+    corpus, chunks, enriched = tmp_path / "corpus.jsonl", tmp_path / "chunks.jsonl", tmp_path / "enriched.jsonl"
+    assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
+    assert main(["chunk", "--corpus", str(corpus), "--out", str(chunks)]) == EXIT_OK
+    lines = corpus.read_text().splitlines()
+    block = json.loads(lines[-1])
+    if defect == "second block":
+        lines.append(json.dumps({**block, "queries": block["queries"][:3]}))
+    else:
+        lines[-2], lines[-1] = lines[-1], lines[-2]
+    corpus.write_text("\n".join(lines) + "\n")
+    assert main(["chunk", "--corpus", str(corpus), "--out", str(tmp_path / "again.jsonl")]) == EXIT_FORMAT
+    inject = ["inject", "--corpus", str(corpus), "--chunks", str(chunks), "--strategy", "low", "--out", str(enriched)]
+    assert main(inject) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.count(f"error: {corpus}: ") == 2
+    assert not (tmp_path / "again.jsonl").exists() and not enriched.exists()
 
 
 def test_index_of_an_unknown_version_is_format_error(tmp_path, capsys):

@@ -12,17 +12,15 @@ import pytest
 from cirbench import (
     Embedder,
     EmbedderConfig,
-    MixDecomposition,
     dilution_curve,
     effective_lambda,
     enrich,
     get_embedder,
     make_chunk_id,
-    mix,
 )
 from cirbench._hash import fnv1a64, splitmix64
 from cirbench.chunking import Chunk
-from cirbench.embedding import _IDX_SALT, BULK_HASH_MIN, NONZEROS_PER_TOKEN, curve_values
+from cirbench.embedding import _IDX_SALT, BULK_HASH_MIN, NONZEROS_PER_TOKEN
 from cirbench.errors import ConfigError, DegenerateMixError, EmbeddingError
 
 CFG = EmbedderConfig(dim=256, hash_seed=17)
@@ -130,40 +128,14 @@ def test_similarity_trivials():
     assert float(e0 @ e1) == 0.0
 
 
-def test_mix_endpoints_exact():
-    v_local = EMB.embed(["local", "data"])
-    v_global = EMB.embed(["global", "topic"])
-    assert np.array_equal(mix(MixDecomposition(v_local, v_global, 0.0)), v_local)
-    assert np.array_equal(mix(MixDecomposition(v_local, v_global, 1.0)), v_global)
-
-
-def test_mix_orthogonal_midpoint():
-    e0 = np.zeros(16)
-    e0[0] = 1.0
-    e1 = np.zeros(16)
-    e1[1] = 1.0
-    mixed = mix(MixDecomposition(e0, e1, 0.5))
-    assert float(mixed @ e0) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-    assert mixed[0] == pytest.approx(0.5 / math.hypot(0.5, 0.5), abs=1e-12)
-
-
-def test_mix_antipodal_degenerate():
-    v = EMB.embed(["x", "y", "z"])
-    with pytest.raises(DegenerateMixError):
-        mix(MixDecomposition(v, -v, 0.5))
-    with pytest.raises(ValueError):
-        MixDecomposition(v, -v, 1.5)
-
-
 def test_dilution_curve_closed_form_decreasing():
     e0 = np.zeros(32)
     e0[0] = 1.0
     e1 = np.zeros(32)
     e1[1] = 1.0
-    pts = dilution_curve(e0, e0, e1, 101)
-    assert len(pts) == 101
-    sims = [s for _, s in pts]
-    closed = [(1 - lam) / math.hypot(1 - lam, lam) for lam, _ in pts]
+    lams, sims = dilution_curve(e0, e0, e1, 101)
+    assert len(sims) == 101
+    closed = [(1 - lam) / math.hypot(1 - lam, lam) for lam in lams]
     assert sims == pytest.approx(closed, abs=1e-12)
     assert all(x > y for x, y in zip(sims, sims[1:]))
     assert sims[50] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
@@ -184,13 +156,13 @@ def _planted_query(a: float, b: float, dim: int = 16) -> tuple[np.ndarray, np.nd
 def test_dilution_curve_peak_at_b_over_a_plus_b():
     # Grid-search oracle: with a = 0.8 and b = 0.2 the peak sits at 0.2.
     q, v_local, v_global = _planted_query(0.8, 0.2)
-    lams, sims = curve_values(q, v_local, v_global, 10_001)
+    lams, sims = dilution_curve(q, v_local, v_global, 10_001)
     assert abs(lams[int(np.argmax(sims))] - 0.2) <= 1e-3
 
 
 def test_dilution_curve_nonpositive_global_peaks_at_zero():
     q, v_local, v_global = _planted_query(0.7, -0.3)
-    lams, sims = curve_values(q, v_local, v_global, 10_001)
+    lams, sims = dilution_curve(q, v_local, v_global, 10_001)
     assert int(np.argmax(sims)) == 0
     assert np.all(sims[1:] < sims[0])
 
