@@ -24,12 +24,14 @@ T = TypeVar("T")
 def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
     """A binary handle whose bytes replace *path* on exit: a crash leaves the old file or the new one.
 
-    The bytes go to a new temp file with a random name in the target's
-    directory, are fsynced, then renamed over the target. The temp file is
-    created 0666 less the umask, as a plain open() would, and is removed if
-    any step fails, the caller's writes included.
+    The target's directory is created if it is missing. The bytes go to a
+    new temp file with a random name in that directory, are fsynced, then
+    renamed over the target. The temp file is created 0666 less the umask,
+    as a plain open() would, and is removed if any step fails, the caller's
+    writes included.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

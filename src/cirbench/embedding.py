@@ -10,8 +10,8 @@ component means with weight ``L_I / (L_I + L_c)`` on the context side.
 gives a query's similarity to it along a grid of weights in [0, 1].
 An ``Embedder`` holds one token table (a dict from token to row, plus
 ``(rows, 4)`` arrays of component indices and signs) and pools a text by
-summing its tokens' rows with a single ``np.bincount``; ``embed_many``
-pools a batch of texts with one.
+summing its tokens' rows with a single ``np.bincount``; ``sum_many``
+pools a batch of texts with one, and ``embed_many`` normalizes its rows.
 
 Tokens are registered in bulk: the new tokens of one call are hashed
 together by numpy kernels over ``uint64`` arrays (``_hash.fnv1a64_many``,
@@ -37,7 +37,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ NONZEROS_PER_TOKEN = 4
 # A registration of fewer new tokens hashes them one by one: a numpy pass
 # costs about as much as hashing this many tokens in Python.
 BULK_HASH_MIN = 32
-# The most tokens embed_many pools with one bincount; bounds its temporaries.
+# The most tokens sum_many pools with one bincount; bounds its temporaries.
 POOL_TOKENS = 1 << 14
 
 _IDX_SALT = 0xA5C35A3C96E7D1B5
@@ -140,53 +140,54 @@ class Embedder:
             raise EmbeddingError("cannot hash an empty token")
         return self.mean_vector([token])
 
-    def sum_vector(self, tokens: list[str]) -> np.ndarray:
-        """Sum of the token vectors (zero for no tokens).
-
-        Every component is an integer, so it is exact in any order, and sums
-        of sums equal the sum over the concatenated tokens bit for bit.
-        """
-        self.register(tokens)
-        rows = np.fromiter(map(self._row.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-        return np.bincount(self._idx[rows].ravel(), self._sign[rows].ravel(), minlength=self.config.dim)
-
     def mean_vector(self, tokens: list[str]) -> np.ndarray:
         """Pre-normalization mean of the token vectors."""
         if not tokens:
             raise EmbeddingError("cannot embed an empty token sequence")
-        return self.sum_vector(tokens) / len(tokens)
+        self.register(tokens)
+        rows = np.fromiter(map(self._row.__getitem__, tokens), dtype=np.intp, count=len(tokens))
+        return np.bincount(self._idx[rows].ravel(), self._sign[rows].ravel(), minlength=self.config.dim) / len(tokens)
 
     def embed(self, tokens: list[str]) -> np.ndarray:
         """L2-normalized mean of the token vectors; order-insensitive."""
         return unit(self.mean_vector(tokens))
 
-    def embed_many(self, token_lists: list[list[str]]) -> np.ndarray:
-        """``embed`` of each token list, one row each, bit for bit.
+    def sum_many(self, token_lists: Sequence[list[str]]) -> np.ndarray:
+        """The sum of each list's token vectors, one row each; an empty list sums to a zero row.
 
         The lists' new tokens are registered at once, and a batch of lists
         of at most ``POOL_TOKENS`` tokens in all (or one longer list) is
-        pooled by one ``np.bincount``.
+        pooled by one ``np.bincount``. Every component is an integer, so a
+        row is exact in any order, and sums of rows equal the sum over the
+        concatenated lists bit for bit.
         """
         dim = self.config.dim
-        out = np.empty((len(token_lists), dim))
-        lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
-        if lengths.size and lengths.min() == 0:
-            raise EmbeddingError("cannot embed an empty token sequence")
         self.register(chain.from_iterable(token_lists))
+        lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
         ends = np.cumsum(lengths)
         starts = ends - lengths
+        out = np.empty((len(token_lists), dim))
         lo = 0
         while lo < len(token_lists):
             hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + POOL_TOKENS, side="right")))
             tokens = chain.from_iterable(token_lists[lo:hi])
             rows = np.fromiter(map(self._row.__getitem__, tokens), np.intp, count=int(ends[hi - 1] - starts[lo]))
             text = np.repeat(np.arange(hi - lo), lengths[lo:hi])
-            sums = np.bincount(
+            out[lo:hi] = np.bincount(
                 (text[:, None] * dim + self._idx[rows]).ravel(), self._sign[rows].ravel(), minlength=(hi - lo) * dim
-            )
-            for i, mean in enumerate(sums.reshape(hi - lo, dim) / lengths[lo:hi, None], lo):
-                out[i] = unit(mean)
+            ).reshape(hi - lo, dim)
             lo = hi
+        return out
+
+    def embed_many(self, token_lists: list[list[str]]) -> np.ndarray:
+        """``embed`` of each token list, one row each, bit for bit: ``sum_many``'s rows, averaged and normalized."""
+        lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
+        if lengths.size and lengths.min() == 0:
+            raise EmbeddingError("cannot embed an empty token sequence")
+        out = self.sum_many(token_lists)
+        out /= lengths[:, None]
+        for row in out:
+            row[:] = unit(row)
         return out
 
 

@@ -232,6 +232,10 @@ def run_sweep(
         raise ConfigError("run_sweep needs a non-empty corpus and query set")
     if not strategies:
         raise ConfigError("strategies: the sweep needs at least one strategy")
+    kinds = [strat.kind for strat in strategies]
+    repeated = [kind for i, kind in enumerate(kinds) if kind in kinds[:i]]
+    if repeated:
+        raise ConfigError(f"strategies: {repeated[0]!r} is listed more than once; each kind makes one row")
     embedder = get_embedder(embed_config)
     chunks: list[Chunk] = []
     for doc in documents:
@@ -311,10 +315,10 @@ def _from_record(rec: dict) -> str | MetricRow | SweepFlags:
 def parse_report_jsonl(path: str | Path) -> SweepReport:
     """Read a sweep.jsonl: one sweep record, the rows, and one flags record equal to ``sweep_flags`` of the rows.
 
-    A missing or repeated sweep or flags record, or flags that disagree with
-    the rows, is a CorpusFormatError naming *path*.
+    A missing or repeated sweep or flags record, two rows of one strategy,
+    or flags that disagree with the rows, is a CorpusFormatError naming *path*.
     """
-    records = read_jsonl(path, _from_record)
+    records = read_jsonl(path, _from_record, unique="strategy")
     digests = [r for r in records if isinstance(r, str)]
     flags = [r for r in records if isinstance(r, SweepFlags)]
     rows = [r for r in records if isinstance(r, MetricRow)]
@@ -335,7 +339,6 @@ def emit_report(report: SweepReport, fmt: str, out_dir: str | Path, header: dict
     concatenation into an external plotting tool.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     if fmt == "csv":
         path = out_dir / "sweep.csv"

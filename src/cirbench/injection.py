@@ -6,24 +6,24 @@ the block from the chunk length; the adaptive strategy ("ddai") instead
 caps the block so the ratio never exceeds a threshold, filling hierarchy
 first and summary second, with no padding and no metadata.
 
-``context_layout`` is the one place a block is sized and composed: it gives
-each piece's length over the section's ``ContextSources``, and its ``runs``
-list the block in order as leading slices of those sources. ``build_context``
-materializes the runs; ``EnrichedSums`` adds up their token-vector sums, and
-``effective_lambda`` measures the context's mixing weight in an embedding.
+``context_layout`` is the one place a block is sized: it gives each
+piece's length over the section's ``ContextSources``. ``build_context``
+cuts the block from those sources; ``EnrichedSums`` sums the same blocks,
+and ``effective_lambda`` measures the context's mixing weight in an
+embedding.
 
 ``EnrichedSums`` embeds by mixing integer sums, not by embedding enriched
-token lists. Each chunk's token vectors are summed once; each run of a
-block's layout is summed once per sweep. An enriched chunk's vector is
-``(chunk_sum + context_sum) / (L_c + L_I)``, normalized. Every component
-of these sums is an integer, so the vector equals ``embed`` of the
-enriched tokens bit for bit.
+token lists. Each chunk's token vectors are summed once; under each
+strategy, each distinct block is built once per section and chunk length,
+and all of them are summed by one ``Embedder.sum_many`` call. An enriched
+chunk's vector is ``(chunk_sum + block_sum) / (L_c + L_I)``, normalized.
+Every component of these sums is an integer, so the vector equals
+``embed`` of the enriched tokens bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -174,10 +174,6 @@ class ContextSources(NamedTuple):
     pad_pool: list[str]
 
 
-# The ContextSources fields that depend on the document alone, not on the section.
-_PER_DOCUMENT_SOURCES = frozenset({"digest", "metadata"})
-
-
 def context_sources(doc: Document, chunk: Chunk) -> ContextSources:
     """*chunk*'s heading path, the document's digest and metadata, and the pad pool.
 
@@ -201,24 +197,6 @@ class ContextLayout(NamedTuple):
     @property
     def length(self) -> int:
         return self.hierarchy + self.summary + self.metadata + self.padding
-
-    def runs(self, sources: ContextSources) -> list[tuple[str, int, int]]:
-        """The block in order, as (source field, leading tokens, copies); empty runs are left out.
-
-        ``hierarchy[:hierarchy]``, then ``padding`` tokens cycled from the pad
-        pool (whole copies, then its first tokens), then ``digest[:summary]``,
-        then ``metadata[:metadata]``.
-        """
-        pool = len(sources.pad_pool)
-        cycles, rest = divmod(self.padding, pool)
-        runs = [
-            ("hierarchy", self.hierarchy, 1),
-            ("pad_pool", pool, cycles),
-            ("pad_pool", rest, 1),
-            ("digest", self.summary, 1),
-            ("metadata", self.metadata, 1),
-        ]
-        return [(field, n, copies) for field, n, copies in runs if n and copies]
 
 
 def context_layout(sources: ContextSources, chunk_len: int, strat: InjectionStrategy) -> ContextLayout:
@@ -244,22 +222,36 @@ def context_layout(sources: ContextSources, chunk_len: int, strat: InjectionStra
     return ContextLayout(h, s, m, total - h - s - m)
 
 
+def _block(sources: ContextSources, chunk_len: int, strat: InjectionStrategy) -> list[str]:
+    """The context block of a *chunk_len*-token chunk under *strat*, cut from *sources* by its layout.
+
+    ``hierarchy[:hierarchy]``, then ``padding`` tokens cycled from the pad
+    pool (whole copies, then its first tokens), then ``digest[:summary]``,
+    then ``metadata[:metadata]``.
+    """
+    lay = context_layout(sources, chunk_len, strat)
+    cycles, rest = divmod(lay.padding, len(sources.pad_pool))
+    return [
+        *sources.hierarchy[: lay.hierarchy],
+        *sources.pad_pool * cycles,
+        *sources.pad_pool[:rest],
+        *sources.digest[: lay.summary],
+        *sources.metadata[: lay.metadata],
+    ]
+
+
 def build_context(doc: Document, chunk: Chunk, strat: InjectionStrategy) -> list[str]:
-    """The context block's tokens for *chunk* under *strat*: its layout's runs, materialized."""
-    src = context_sources(doc, chunk)
-    block: list[str] = []
-    for field, n, copies in context_layout(src, chunk.length, strat).runs(src):
-        block += getattr(src, field)[:n] * copies
-    return block
+    """The context block's tokens for *chunk* under *strat*."""
+    return _block(context_sources(doc, chunk), chunk.length, strat)
 
 
 class EnrichedSums:
     """The sweep's chunk vectors under each strategy, from integer token-vector sums.
 
-    Each chunk is summed once, and each run of a block's layout once per
-    source list and length: per document for the lists that depend on the
-    document alone, per section for the rest. A run's copies multiply its
-    sum. The sums live as long as this object: one sweep, one embedder.
+    Each chunk is summed once, by one ``Embedder.sum_many`` call. Under a
+    strategy, each distinct block (one per section and chunk length) is
+    built as ``build_context`` builds it, and all of them are summed by one
+    more ``sum_many`` call.
     """
 
     def __init__(self, chunks: Sequence[Chunk], doc_by_id: dict[str, Document], embedder: Embedder):
@@ -270,33 +262,26 @@ class EnrichedSums:
             section = (chunk.doc_id, chunk.section_index)
             if section not in self._sources:
                 self._sources[section] = context_sources(doc_by_id[chunk.doc_id], chunk)
-        # Every token the sums will see, hashed in one pass; no sum_vector call below hashes.
-        token_lists = [chunk.tokens for chunk in chunks] + [lst for src in self._sources.values() for lst in src]
-        embedder.register(chain.from_iterable(token_lists))
-        self._chunk_sums = [embedder.sum_vector(chunk.tokens) for chunk in chunks]
-        self._run_sums: dict[tuple, np.ndarray] = {}
-
-    def _run_sum(self, chunk: Chunk, src: ContextSources, field: str, n: int) -> np.ndarray:
-        owner = chunk.doc_id if field in _PER_DOCUMENT_SOURCES else (chunk.doc_id, chunk.section_index)
-        total = self._run_sums.get((field, owner, n))
-        if total is None:
-            total = self._run_sums[field, owner, n] = self._embedder.sum_vector(getattr(src, field)[:n])
-        return total
+        self._chunk_sums = embedder.sum_many([chunk.tokens for chunk in chunks])
 
     def vectors(self, strat: InjectionStrategy) -> tuple[np.ndarray, list[float]]:
         """Unit vectors and CIRs of every chunk enriched under *strat*, in chunk order."""
-        out = np.empty((len(self.chunks), self._embedder.config.dim))
-        cirs: list[float] = []
-        for i, (chunk, chunk_sum) in enumerate(zip(self.chunks, self._chunk_sums)):
-            src = self._sources[chunk.doc_id, chunk.section_index]
-            lay = context_layout(src, chunk.length, strat)
-            total = chunk_sum.copy()
-            for field, n, copies in lay.runs(src):
-                run_sum = self._run_sum(chunk, src, field, n)
-                total += run_sum if copies == 1 else copies * run_sum  # one copy needs no temporary
-            out[i] = unit(total / (chunk.length + lay.length))
-            cirs.append(compute_cir(lay.length, chunk.length))
-        return out, cirs
+        block_of: dict[tuple[str, int, int], int] = {}
+        blocks: list[list[str]] = []
+        rows: list[int] = []
+        for chunk in self.chunks:
+            key = (chunk.doc_id, chunk.section_index, chunk.length)
+            if key not in block_of:
+                block_of[key] = len(blocks)
+                blocks.append(_block(self._sources[key[:2]], chunk.length, strat))
+            rows.append(block_of[key])
+        context_lengths = [len(blocks[row]) for row in rows]
+        out = self._embedder.sum_many(blocks)[rows]
+        out += self._chunk_sums
+        out /= np.add([chunk.length for chunk in self.chunks], context_lengths)[:, None]
+        for vector in out:
+            vector[:] = unit(vector)  # one row at a time: a batched norm sums in another order
+        return out, [compute_cir(n, chunk.length) for n, chunk in zip(context_lengths, self.chunks)]
 
 
 def enrich(chunk: Chunk, context: list[str]) -> EnrichedChunk:

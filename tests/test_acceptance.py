@@ -41,6 +41,18 @@ from cirbench.retrieval import Hit
 
 REFERENCE_SEED = 42
 STATIC_KINDS = ["baseline", "low", "medium", "high", "overload"]
+# The reference sweep's rows, in report order, as (mean_cir, ndcg_at_10, recall5_specific,
+# recall5_thematic, homogenization, wrong_section_share), and its (inverted_u, curve_cross_cir)
+# flags: the seed-42 record of perfbench/reference_rows.json.
+REFERENCE_ROWS = {
+    "baseline": (0.0, 0.41747924393679964, 0.74, 0.58, 0.08672265372752613, 0.08333333333333333),
+    "low": (0.14969290458469586, 0.6816969356552421, 0.76, 0.96, 0.17386618095006084, 0.2682926829268293),
+    "ddai": (0.348737597062581, 0.5585838112487452, 0.69, 0.86, 0.31600430160545495, 0.13725490196078433),
+    "medium": (0.350591234824621, 0.6499053799448009, 0.73, 0.94, 0.42273722501780336, 0.22641509433962265),
+    "high": (0.5999275231590996, 0.6143267126720869, 0.49, 0.91, 0.6906327898589967, 0.21212121212121213),
+    "overload": (0.8500267329525064, 0.4912544526969744, 0.24, 0.93, 0.901011442689255, 0.2967032967032967),
+}
+REFERENCE_FLAGS = (True, 0.14969290458469586)
 
 
 @contextmanager
@@ -259,6 +271,16 @@ def test_criterion_8_ddai_beats_overload(reference_sweep):
         rows = {r.strategy: r for r in report.rows}
         assert rows["ddai"].recall5_specific >= rows["high"].recall5_specific
         assert rows["ddai"].ndcg_at_10 > rows["overload"].ndcg_at_10
+
+
+def test_reference_sweep_reproduces_the_recorded_rows(reference_sweep):
+    report, _, _, _ = reference_sweep
+    assert [r.strategy for r in report.rows] == list(REFERENCE_ROWS)
+    for r in report.rows:
+        values = (r.mean_cir, r.ndcg_at_10, r.recall5_specific, r.recall5_thematic, r.homogenization,
+                  r.wrong_section_share)
+        assert values == pytest.approx(REFERENCE_ROWS[r.strategy], rel=0, abs=1e-9), r.strategy
+    assert (report.flags.inverted_u, report.flags.curve_cross_cir) == REFERENCE_FLAGS
 
 
 def test_criterion_9_sweep_determinism(tmp_path):

@@ -291,6 +291,40 @@ def test_empty_strategy_list_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeated_strategy_kind_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", *SMALL, "--strategies", "low,ddai,low", "--out-dir", str(out)]) == EXIT_USAGE
+    assert "error: strategies: 'low' is listed more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_refuses_a_sweep_file_with_a_repeated_strategy_row(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", *SMALL, "--out-dir", str(out)]) == EXIT_OK
+    sweep = out / "sweep.jsonl"
+    lines = sweep.read_text().splitlines()
+    first = next(n for n, line in enumerate(lines, start=1) if json.loads(line).get("strategy") == "ddai")
+    lines.insert(first, lines[first - 1])
+    sweep.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = ["report", "--sweep", str(sweep), "--format", "plotdata", "--out-dir", str(tmp_path / "plot")]
+    assert main(argv) == EXIT_FORMAT
+    assert f"{sweep}: line {first + 1}: repeated strategy 'ddai' (first on line {first})" in capsys.readouterr().err
+    assert not (tmp_path / "plot").exists()
+
+
+def test_every_stage_writes_into_a_new_directory(tmp_path, capsys):
+    corpus, chunks = tmp_path / "a" / "corpus.jsonl", tmp_path / "b" / "chunks.jsonl"
+    enriched, vectors = tmp_path / "c" / "enriched.jsonl", tmp_path / "d" / "e" / "vectors.cirx"
+    assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
+    assert main(["chunk", "--corpus", str(corpus), "--out", str(chunks)]) == EXIT_OK
+    argv = ["inject", "--corpus", str(corpus), "--chunks", str(chunks), "--strategy", "low", "--out", str(enriched)]
+    assert main(argv) == EXIT_OK
+    assert main(["embed", "--enriched", str(enriched), "--out", str(vectors)]) == EXIT_OK
+    assert all(path.is_file() for path in (corpus, chunks, enriched, vectors))
+    assert capsys.readouterr().err == ""
+
+
 def test_missing_input_exit_code(tmp_path, capsys):
     assert main(["chunk", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o.jsonl")]) == EXIT_MISSING
     assert "missing input" in capsys.readouterr().err

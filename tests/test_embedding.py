@@ -20,7 +20,7 @@ from cirbench import (
 )
 from cirbench._hash import fnv1a64, splitmix64
 from cirbench.chunking import Chunk
-from cirbench.embedding import _IDX_SALT, BULK_HASH_MIN, NONZEROS_PER_TOKEN
+from cirbench.embedding import _IDX_SALT, BULK_HASH_MIN, NONZEROS_PER_TOKEN, POOL_TOKENS
 from cirbench.errors import ConfigError, DegenerateMixError, EmbeddingError
 
 CFG = EmbedderConfig(dim=256, hash_seed=17)
@@ -245,6 +245,29 @@ def test_embedder_golden_vectors():
 
 def test_embed_many_of_nothing_is_empty():
     assert Embedder(CFG).embed_many([]).shape == (0, CFG.dim)
+
+
+def test_sum_many_of_an_empty_list_is_a_zero_row():
+    sums = Embedder(CFG).sum_many([[], ["a", "b"], []])
+    assert sums.shape == (3, CFG.dim)
+    assert not sums[0].any() and not sums[2].any() and sums[1].any()
+
+
+def test_sum_many_rows_are_the_lists_sums_across_pool_batches():
+    rng = random.Random(29)
+    vocabulary = _random_words(rng, 5000)
+    lists = [rng.choices(vocabulary, k=rng.randint(1, 3000)) for _ in range(30)]
+    lists.insert(12, rng.choices(vocabulary, k=POOL_TOKENS + 777))  # one list longer than a whole batch
+    lists.insert(20, [])
+    assert sum(map(len, lists)) > 3 * POOL_TOKENS
+    emb = Embedder(CFG)
+    sums = emb.sum_many(lists)
+    assert not sums[20].any()
+    for tokens, row in zip(lists, sums):
+        if tokens:
+            # The row is the integer sum that mean_vector divides: dividing it gives mean_vector's bits.
+            assert (row / len(tokens)).tobytes() == emb.mean_vector(tokens).tobytes()
+            assert np.array_equal(row, np.rint(emb.mean_vector(tokens) * len(tokens)))
 
 
 def test_shared_embedder_concurrent_growth_matches_serial():
