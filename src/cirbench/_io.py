@@ -15,22 +15,39 @@ import os
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, OutputPathError
 
 T = TypeVar("T")
+
+
+def check_target(path: str | Path) -> Path:
+    """*path* as a Path if a file can be written there; else an OutputPathError naming it.
+
+    An existing directory is never replaced, and nothing can be created
+    under a regular file, so either target is a bad output value. The
+    existing directory or file is left as it is.
+    """
+    path = Path(path)
+    if path.is_dir():
+        raise OutputPathError(f"cannot write {path}: it is a directory")
+    nearest = next(parent for parent in path.parents if parent.exists())  # '.' or '/' at the latest
+    if not nearest.is_dir():
+        raise OutputPathError(f"cannot write {path}: {nearest} is not a directory")
+    return path
 
 
 @contextlib.contextmanager
 def _atomic_file(path: str | Path) -> Iterator[BinaryIO]:
     """A binary handle whose bytes replace *path* on exit: a crash leaves the old file or the new one.
 
-    The target's directory is created if it is missing. The bytes go to a
-    new temp file with a random name in that directory, are fsynced, then
-    renamed over the target. The temp file is created 0666 less the umask,
-    as a plain open() would, and is removed if any step fails, the caller's
-    writes included.
+    A target that ``check_target`` refuses raises OutputPathError before
+    anything is written. The target's directory is created if it is
+    missing. The bytes go to a new temp file with a random name in that
+    directory, are fsynced, then renamed over the target. The temp file is
+    created 0666 less the umask, as a plain open() would, and is removed if
+    any step fails, the caller's writes included.
     """
-    path = Path(path)
+    path = check_target(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

@@ -13,8 +13,9 @@ argparse parser on the first call and reuses it, and ``sweep`` and
 its own environment; an explicit ``--out-dir`` wins.
 
 Exit codes: 0 success, 2 invalid flags or out-of-range configuration
-values, 3 missing input file, 4 format/parse error (including bytes that
-are not UTF-8), 1 any other failure.
+values (an output path that is a directory or lies under a regular file
+among them), 3 missing input file, 4 format/parse error (including bytes
+that are not UTF-8), 1 any other failure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import sys
 from pathlib import Path
 
 from ._hash import fork_seed
-from ._io import read_run_config
+from ._io import check_target, read_run_config
 from .chunking import chunk_document, read_chunks, tokenize, write_chunks
 from .corpus import CorpusConfig, deserialize_corpus, generate_corpus, serialize_corpus, split_doc_count
 from .embedding import EmbedderConfig, get_embedder
@@ -197,6 +198,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
     strategies = [InjectionStrategy(kind, resolved["t_max"]) for kind in resolved["strategies"].split(",") if kind]
     embed_config = EmbedderConfig(dim=resolved["dim"], hash_seed=resolved["hash_seed"])
+    for fmt in ("csv", "jsonl"):
+        check_target(Path(_out_dir(args)) / f"sweep.{fmt}")
     docs, queries = generate_corpus(_corpus_config(resolved))
     report = run_sweep(docs, queries, strategies, embed_config, chunk_target=resolved["chunk_target"])
     written = [path for fmt in ("csv", "jsonl") for path in emit_report(report, fmt, _out_dir(args), resolved)]
@@ -296,6 +299,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            check_target(args.out)  # before the command does its work
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)

@@ -9,17 +9,19 @@ component means with weight ``L_I / (L_I + L_c)`` on the context side.
 ``dilution_curve`` is the one function that forms that normalized mix: it
 gives a query's similarity to it along a grid of weights in [0, 1].
 An ``Embedder`` holds one token table (a dict from token to row, plus
-``(rows, 4)`` arrays of component indices and signs) and pools a text by
-summing its tokens' rows with a single ``np.bincount``; ``sum_many``
-pools a batch of texts with one, and ``embed_many`` normalizes its rows.
+``(rows, 4)`` arrays of int32 component indices and int8 signs) and pools
+a text by summing its tokens' rows with a single ``np.bincount``;
+``sum_many`` pools a batch of texts with one, and ``embed_many``
+normalizes its rows.
 
-Tokens are registered in bulk: the new tokens of one call are hashed
-together by numpy kernels over ``uint64`` arrays (``_hash.fnv1a64_many``,
-``_hash.splitmix64_many``). A call with fewer than ``BULK_HASH_MIN`` new
-tokens, such as a query's, hashes them one by one in Python instead: a
-numpy pass has a fixed cost of about that many scalar hashes. Both paths
-compute the one definition below, so a token's row does not depend on
-which path registered it.
+Tokens are registered in bulk: the new tokens of one call are hashed by
+numpy kernels over ``uint64`` arrays (``_hash.fnv1a64_many``,
+``_hash.splitmix64_many``), at most ``POOL_TOKENS`` new tokens per numpy
+pass. A call with fewer than ``BULK_HASH_MIN`` new tokens, such as a
+query's, hashes them one by one in Python instead: a numpy pass has a
+fixed cost of about that many scalar hashes. Both paths compute the one
+definition below, so a token's row does not depend on which path
+registered it.
 
 Token hashing, bit-exact, once per distinct token:
 
@@ -48,7 +50,8 @@ NONZEROS_PER_TOKEN = 4
 # A registration of fewer new tokens hashes them one by one: a numpy pass
 # costs about as much as hashing this many tokens in Python.
 BULK_HASH_MIN = 32
-# The most tokens sum_many pools with one bincount; bounds its temporaries.
+# The most tokens sum_many pools with one bincount, and register hashes with one
+# numpy pass; bounds their temporaries.
 POOL_TOKENS = 1 << 14
 
 _IDX_SALT = 0xA5C35A3C96E7D1B5
@@ -63,8 +66,8 @@ class EmbedderConfig:
     hash_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dim < 8:
-            raise ConfigError("dim: must be >= 8")
+        if not 8 <= self.dim <= 1 << 31:  # every component index fits the token table's int32
+            raise ConfigError(f"dim: must lie in [8, 2**31], got {self.dim}")
         if not 0 <= self.hash_seed < 1 << 64:
             raise ConfigError(f"hash_seed: must lie in [0, 2**64), got {self.hash_seed}")
 
@@ -76,7 +79,8 @@ class Embedder:
         self.config = config
         self._seed_mix, _ = splitmix64(config.hash_seed)
         self._row: dict[str, int] = {}
-        self._idx, self._sign = np.zeros((0, NONZEROS_PER_TOKEN), np.int64), np.zeros((0, NONZEROS_PER_TOKEN))
+        self._idx = np.zeros((0, NONZEROS_PER_TOKEN), np.int32)
+        self._sign = np.zeros((0, NONZEROS_PER_TOKEN), np.int8)
         self._lock = threading.Lock()
 
     def _hash(self, token: str) -> tuple[list[int], list[float]]:
@@ -95,29 +99,33 @@ class Embedder:
     def _hash_many(self, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
         """``_hash`` of every token at once: (n, 4) indices and signs, row for row the same."""
         base = fnv1a64_many([tok.encode("utf-8") for tok in tokens]) ^ np.uint64(self._seed_mix)
-        idx = np.full((len(tokens), NONZEROS_PER_TOKEN), -1, dtype=np.int64)  # -1: not drawn yet
+        idx = np.full((len(tokens), NONZEROS_PER_TOKEN), -1, dtype=np.int32)  # -1: not drawn yet
         found = np.zeros(len(tokens), dtype=np.intp)
         # Draw once for every row still short of four distinct indices, and keep each draw it lacks.
         rows, state = np.arange(len(tokens)), base ^ np.uint64(_IDX_SALT)
         while rows.size:
             value, state = splitmix64_many(state)
-            value = (value % np.uint64(self.config.dim)).astype(np.int64)
+            value = (value % np.uint64(self.config.dim)).astype(np.int32)
             new = (idx[rows] != value[:, None]).all(axis=1)
             hit = rows[new]
             idx[hit, found[hit]] = value[new]
             found[hit] += 1
             short = found[rows] < NONZEROS_PER_TOKEN
             rows, state = rows[short], state[short]
-        sign = np.empty(idx.shape)
+        sign = np.empty(idx.shape, np.int8)
         state = base ^ np.uint64(_SIGN_SALT)
         for c in range(NONZEROS_PER_TOKEN):
             value, state = splitmix64_many(state)
-            sign[:, c] = np.where(value & np.uint64(1), 1.0, -1.0)
+            sign[:, c] = np.where(value & np.uint64(1), 1, -1)
         return idx, sign
 
     def register(self, tokens: Iterable[str]) -> None:
-        """Add every token of *tokens* that the table lacks, hashing them in one pass."""
-        new = set(tokens).difference(self._row)
+        """Add every token of *tokens* that the table lacks, at most ``POOL_TOKENS`` new tokens per numpy pass."""
+        new = set(tokens)
+        if len(self._row) < len(new):
+            new.difference_update(self._row)  # walks the table, and makes no second set
+        else:
+            new = new.difference(self._row)  # walks the tokens, not the larger table
         if not new:
             return
         # np.resize copies and a token is registered after its row is written: readers see whole rows.
@@ -131,7 +139,9 @@ class Embedder:
                 for r, tok in enumerate(new, start):
                     self._idx[r], self._sign[r] = self._hash(tok)
             else:
-                self._idx[start:end], self._sign[start:end] = self._hash_many(new)
+                for lo in range(0, len(new), POOL_TOKENS):
+                    rows = slice(start + lo, min(start + lo + POOL_TOKENS, end))
+                    self._idx[rows], self._sign[rows] = self._hash_many(new[lo : lo + POOL_TOKENS])
             self._row.update(zip(new, range(start, end)))
 
     def token_vector(self, token: str) -> np.ndarray:

@@ -9,6 +9,13 @@ class ConfigError(CirbenchError, ValueError):
     """Invalid configuration value; the message names the offending field."""
 
 
+class OutputPathError(ConfigError, OSError):
+    """An output path no file can be written to: an existing directory, or a path under a regular file.
+
+    It is an OSError as well, like the failed write it prevents.
+    """
+
+
 class FormatError(CirbenchError, ValueError):
     """A persisted artifact failed to parse."""
 

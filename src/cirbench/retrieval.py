@@ -37,6 +37,8 @@ VERSION = 2
 _HEADER = struct.Struct("<HIQQ")  # version, dim, count, hash_seed
 _U32 = struct.Struct("<I")
 _UNIT_TOL = 1e-4
+# The most values VectorIndex rounds through float32 at once: bounds its staging block to 1 MB.
+_WIDEN_VALUES = 1 << 18
 
 
 class Hit(NamedTuple):
@@ -52,8 +54,11 @@ class VectorIndex:
 
     Construction checks the index contract (one doc id, section and
     ``dim``-wide unit-norm row per unique chunk id; a u64 ``hash_seed``), so
-    built and loaded indexes pass the same checks. The vectors are rounded to
-    the file's float32 and held widened to float64, in entry order.
+    built and loaded indexes pass the same checks. *vectors* may be a
+    (count, dim) array or a sequence of rows. They are rounded to the file's
+    float32 and held widened to float64, in entry order, in a new array that
+    is filled a block of rows at a time, so no full-size float32 copy is made
+    and the caller's array is never aliased.
     """
 
     dim: int
@@ -65,13 +70,23 @@ class VectorIndex:
     _id_rank: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.vectors = np.asarray(self.vectors, dtype=np.float32).astype(np.float64, order="C")
-        n = len(self.chunk_ids)
-        if len(self.doc_ids) != n or len(self.section_indexes) != n or self.vectors.shape != (n, self.dim):
+        n, rows = len(self.chunk_ids), self.vectors
+        if isinstance(rows, np.ndarray):
+            shape = rows.shape
+        else:
+            shape = (len(rows), self.dim)
+            for cid, row in zip(self.chunk_ids, rows):
+                if np.shape(row) != (self.dim,):
+                    raise IndexValidationError(f"dimension mismatch at {cid!r}: {np.shape(row)} != ({self.dim},)")
+        if len(self.doc_ids) != n or len(self.section_indexes) != n or shape != (n, self.dim):
             raise IndexValidationError(
                 f"shape mismatch: {n} chunk ids, {len(self.doc_ids)} doc ids, {len(self.section_indexes)} sections"
-                f" and vectors of shape {self.vectors.shape} for dim {self.dim}"
+                f" and vectors of shape {shape} for dim {self.dim}"
             )
+        self.vectors = np.empty((n, self.dim))
+        step = max(1, _WIDEN_VALUES // max(1, self.dim))
+        for lo in range(0, n, step):
+            self.vectors[lo : lo + step] = np.asarray(rows[lo : lo + step], dtype=np.float32)
         if self.hash_seed is not None and not 0 <= self.hash_seed < 1 << 64:
             raise IndexValidationError(f"hash_seed {self.hash_seed} does not fit in a u64")
         ids = self.chunk_ids
@@ -95,20 +110,14 @@ class VectorIndex:
 def build_index(
     entries: Iterable[tuple[str, str, int, np.ndarray]], hash_seed: int | None = None
 ) -> VectorIndex:
-    """Stack (chunk_id, doc_id, section_index, vector) entries into a validated index."""
+    """Index (chunk_id, doc_id, section_index, vector) entries; the index widens their vectors without stacking them."""
     entries = list(entries)
-    if not entries:
-        return VectorIndex(0, [], [], [], np.zeros((0, 0), dtype="<f4"), hash_seed)
-    dim = len(entries[0][3])
-    for cid, _, _, vec in entries:
-        if np.shape(vec) != (dim,):
-            raise IndexValidationError(f"dimension mismatch at {cid!r}: {np.shape(vec)} != ({dim},)")
     return VectorIndex(
-        dim=dim,
+        dim=len(entries[0][3]) if entries else 0,
         chunk_ids=[e[0] for e in entries],
         doc_ids=[e[1] for e in entries],
         section_indexes=[int(e[2]) for e in entries],
-        vectors=np.array([e[3] for e in entries], dtype="<f4"),
+        vectors=[e[3] for e in entries],
         hash_seed=hash_seed,
     )
 

@@ -325,6 +325,32 @@ def test_every_stage_writes_into_a_new_directory(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command", ["gen into a directory", "chunk under a file", "sweep under a file"])
+def test_an_output_path_no_file_can_take_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command):
+    corpus, directory, regular = tmp_path / "corpus.jsonl", tmp_path / "dir", tmp_path / "file"
+    assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
+    directory.mkdir()
+    (directory / "kept").write_text("kept")
+    regular.write_text("kept")
+    argv, named = {
+        "gen into a directory": (["gen", *SMALL, "--out", str(directory)], directory),
+        "chunk under a file": (["chunk", "--corpus", str(corpus), "--out", str(regular / "x.jsonl")], regular),
+        "sweep under a file": (["sweep", *SMALL, "--out-dir", str(regular)], regular),
+    }[command]
+
+    def work(*_args, **_kwargs):
+        raise AssertionError("the command started its work before refusing its output path")
+
+    monkeypatch.setattr("cirbench.cli.generate_corpus", work)
+    monkeypatch.setattr("cirbench.cli.deserialize_corpus", work)
+    capsys.readouterr()
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(named) in err
+    assert [p.name for p in directory.iterdir()] == ["kept"] and (directory / "kept").read_text() == "kept"
+    assert regular.read_text() == "kept"
+
+
 def test_missing_input_exit_code(tmp_path, capsys):
     assert main(["chunk", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o.jsonl")]) == EXIT_MISSING
     assert "missing input" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,3 +375,35 @@ def test_registrations_either_side_of_the_bulk_crossover_give_equal_rows(monkeyp
     for token in tokens:
         assert np.array_equal(scalar._idx[scalar._row[token]], bulk._idx[bulk._row[token]])
         assert np.array_equal(scalar._sign[scalar._row[token]], bulk._sign[bulk._row[token]])
+
+
+def _many_new_tokens() -> list[str]:
+    return [f"slice{i}" for i in range(3 * POOL_TOKENS + 1)]
+
+
+def test_registration_slices_give_the_scalar_hash_rows():
+    emb = Embedder(CFG)
+    emb.register(_many_new_tokens())
+    token_at = {row: token for token, row in emb._row.items()}
+    edges = range(POOL_TOKENS, len(token_at), POOL_TOKENS)
+    for row in {0, len(token_at) - 1, *edges, *(edge - 1 for edge in edges)}:
+        indices, signs = emb._hash(token_at[row])
+        assert emb._idx[row].tolist() == indices and emb._sign[row].tolist() == signs, row
+
+
+def test_registration_memory_is_bounded_by_a_slice_not_by_the_new_token_count():
+    tokens, emb = _many_new_tokens(), Embedder(CFG)
+    tracemalloc.start()
+    try:
+        emb.register(tokens)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Hashing all 3 * POOL_TOKENS + 1 tokens in one numpy pass peaks about 290 * POOL_TOKENS bytes above that.
+    assert peak - kept < 128 * POOL_TOKENS
+
+
+def test_dim_beyond_the_int32_token_table_is_refused():
+    assert EmbedderConfig(dim=1 << 31).dim == 1 << 31
+    with pytest.raises(ConfigError, match="dim"):
+        EmbedderConfig(dim=(1 << 31) + 1)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,3 +276,49 @@ def test_index_hash_seed_outside_u64_rejected():
     with pytest.raises(IndexValidationError, match="u64"):
         VectorIndex(4, ["a", "b"], ["d", "d"], [0, 0], vecs, hash_seed=1 << 64)
     assert VectorIndex(4, ["a", "b"], ["d", "d"], [0, 0], vecs, hash_seed=(1 << 64) - 1).count == 2
+
+
+def _unit_rows(n: int, dim: int) -> np.ndarray:
+    m = np.random.default_rng(23).standard_normal((n, dim))
+    return m / np.linalg.norm(m, axis=1)[:, None]
+
+
+def _columns(n: int) -> tuple[list[str], list[str], list[int]]:
+    return [f"c{i:05d}" for i in range(n)], ["d"] * n, [0] * n
+
+
+def test_index_vectors_do_not_depend_on_the_input_form():
+    m = _unit_rows(2500, 256)  # several widening blocks
+    expected = np.asarray(m, dtype=np.float32).astype(np.float64).tobytes()
+    for vectors in (m, m.astype(np.float32), list(m), list(m.astype(np.float32))):
+        assert VectorIndex(256, *_columns(2500), vectors).vectors.tobytes() == expected
+    entries = [(cid, "d", 0, row) for cid, row in zip(_columns(2500)[0], m)]
+    assert build_index(entries).vectors.tobytes() == expected
+
+
+def test_index_does_not_alias_the_callers_array():
+    for m in (_unit_rows(40, 16), _unit_rows(40, 16).astype(np.float32)):
+        index = VectorIndex(16, *_columns(40), m)
+        before = index.vectors.copy()
+        m[:] = 0.0
+        assert np.array_equal(index.vectors, before)
+
+
+def test_index_rows_of_the_wrong_width_are_refused_not_broadcast():
+    with pytest.raises(IndexValidationError, match="shape mismatch"):
+        VectorIndex(4, *_columns(3), np.ones((3, 1)))
+    with pytest.raises(IndexValidationError, match="dimension mismatch at 'c00001'"):
+        VectorIndex(4, *_columns(3), [np.eye(4)[0], np.ones(1), np.eye(4)[2]])
+
+
+def test_build_index_peak_memory_is_the_float64_matrix_and_a_block():
+    m = _unit_rows(4096, 256)
+    entries = [(cid, "d", 0, row) for cid, row in zip(_columns(4096)[0], m)]
+    tracemalloc.start()
+    try:
+        index = build_index(entries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A full float32 stack before the float64 copy would put the peak near 1.5 times the matrix.
+    assert peak < 1.2 * index.vectors.nbytes
