@@ -14,8 +14,10 @@ its own environment; an explicit ``--out-dir`` wins.
 
 Exit codes: 0 success, 2 invalid flags or out-of-range configuration
 values (an output path that is a directory or lies under a regular file
-among them), 3 missing input file, 4 format/parse error (including bytes
-that are not UTF-8), 1 any other failure.
+among them), 3 missing input file, or an input path that is a directory
+or lies under a regular file, 4 format/parse error (including bytes that
+are not UTF-8, and an index whose dim no embedder takes), 1 any other
+failure.
 """
 
 from __future__ import annotations
@@ -184,7 +186,10 @@ def cmd_query(args: argparse.Namespace) -> int:
         raise FormatError(f"{args.index}: the index holds no rows, so there is nothing to query")
     if args.hash_seed is not None and args.hash_seed != index.hash_seed:
         raise ConfigError(f"--hash-seed {args.hash_seed} disagrees with the index's {index.hash_seed}")
-    config = EmbedderConfig(dim=index.dim, hash_seed=index.hash_seed)
+    try:
+        config = EmbedderConfig(dim=index.dim, hash_seed=index.hash_seed)
+    except ConfigError as exc:  # the file's value, not a flag
+        raise FormatError(f"{args.index}: index {exc}") from exc
     tokens = tokenize(args.text)
     if not tokens:
         raise ConfigError("query text produced no tokens")
@@ -304,6 +309,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc.filename or exc}", file=sys.stderr)
+        return EXIT_MISSING
+    except (IsADirectoryError, NotADirectoryError) as exc:  # output paths were refused above
+        print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_MISSING
     except CirbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)

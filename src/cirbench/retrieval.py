@@ -13,15 +13,21 @@ File format (all integers little-endian): magic ``CIRX``, version u16
 u16-length-prefixed UTF-8 chunk id, a u16-length-prefixed UTF-8 doc id
 and a u32 section index; then the packed float32 vectors in entry order.
 
-``load_index`` walks the id table once, entry by entry. It reads each u16
-length from two indexed bytes rather than a slice, and decodes each
-distinct doc id once, since a document's chunks share it; a doc id that is
-not UTF-8 is never cached, so every entry holding it is checked. Any read
-past the end of the file is a truncated id table.
+``load_index`` reads the id table a column at a time. It reads each
+entry's two u16 lengths in Python, except inside a run of entries with
+equal lengths: there numpy compares the length fields at the offsets the
+rest of the run would have, the bytes an entry-by-entry walk reads, so the
+offsets are exact for any file. One UTF-8 decode of the ids, each after
+one NUL, then yields every id, and one gather every section; a table that
+does not split into two ids per entry (an id holds a NUL or is not UTF-8)
+is decoded entry by entry. The first defect in file order is reported: an
+id that is not UTF-8 names its entry, and a file that ends inside the
+table, even inside a character of an id, is a truncated id table.
 """
 
 from __future__ import annotations
 
+import codecs
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,10 +41,13 @@ from .errors import IndexFormatError, IndexValidationError
 MAGIC = b"CIRX"
 VERSION = 2
 _HEADER = struct.Struct("<HIQQ")  # version, dim, count, hash_seed
-_U32 = struct.Struct("<I")
 _UNIT_TOL = 1e-4
 # The most values VectorIndex rounds through float32 at once: bounds its staging block to 1 MB.
 _WIDEN_VALUES = 1 << 18
+# The most entries load_index's first check of a run compares; each further check compares twice as many.
+_RUN_WINDOW = 256
+# A run check costs about as much as reading this many entries' lengths in Python.
+_RUN_PAYS = 32
 
 
 class Hit(NamedTuple):
@@ -100,7 +109,7 @@ class VectorIndex:
             first = int(bad[0])
             raise IndexValidationError(f"non-unit vector at {ids[first]!r} (norm {norms[first]:.6f})")
         self._id_rank = np.empty(n, dtype=np.int64)
-        self._id_rank[order] = np.arange(n)
+        self._id_rank[np.fromiter(order, np.intp, n)] = np.arange(n)
 
     @property
     def count(self) -> int:
@@ -169,6 +178,136 @@ def save_index(index: VectorIndex, path: str | Path) -> None:
     atomic_write_bytes(path, b"".join(parts))
 
 
+def _id_runs(data: bytes, offset: int, count: int) -> tuple[list[int], int, int]:
+    """The offsets of the id table's runs of entries with equal id lengths, their entries, and where they end.
+
+    ``_run_length`` checks a run ahead once *need* entries in a row share
+    their lengths, from the second at first; a check that skips fewer than
+    ``_RUN_PAYS`` entries doubles *need*, so short runs cost one Python step
+    per entry. The runs stop short of *count* entries only when the file
+    ends inside the next one.
+    """
+    size, run_at, done = len(data), [], 0
+    append = run_at.append
+    last_c = last_d = -1  # the lengths of the entry before
+    streak, need = 0, 2  # entries in a row with those lengths; how many a run check waits for
+    try:
+        while done < count:
+            c = data[offset] | data[offset + 1] << 8
+            d = data[offset + 2 + c] | data[offset + 3 + c] << 8
+            append(offset)
+            if c != last_c or d != last_d:
+                last_c, last_d, streak = c, d, 1
+                offset += 8 + c + d
+                done += 1
+            elif streak + 1 < need:
+                streak += 1
+                offset += 8 + c + d
+                done += 1
+            else:
+                stride = 8 + c + d
+                n = _run_length(data, offset, stride, c, d, min(count - done, (size - offset) // stride))
+                need = 2 if n >= _RUN_PAYS else 2 * need
+                offset += n * stride
+                done += n
+    except IndexError:  # a length read past the end of the file
+        pass
+    if offset > size:  # the file ends inside the last entry appended, a run of one
+        offset = run_at.pop()
+        done -= 1
+    return run_at, done, offset
+
+
+def _run_length(data: bytes, offset: int, stride: int, c: int, d: int, limit: int) -> int:
+    """How many of the at most *limit* entries from *offset* on have id lengths *c* and *d*; the first has.
+
+    Each window compares the length fields at the offsets the entries
+    would have, which the sequential walk would read, so the run is exact;
+    the window doubles while it matches throughout.
+    """
+    n, window = 1, _RUN_WINDOW
+    while n < limit:
+        m = min(window, limit - n)
+        at = offset + n * stride
+        same = np.ndarray(m, "<u2", data, at, (stride,)) == c
+        same &= np.ndarray(m, "<u2", data, at + 2 + c, (stride,)) == d
+        if not same.all():
+            return n + int(same.argmin())
+        n += m
+        window *= 2
+    return n
+
+
+def _id_columns(
+    path: str | Path, data: bytes, run_at: list[int], entries: int, end: int
+) -> tuple[list[str], list[str], list[int]]:
+    """Chunk ids, doc ids and sections of the *entries* entries in the runs at *run_at*, which end at *end*.
+
+    One decode serves every id, unless an id holds a NUL or bytes that are
+    not UTF-8; then the ids are decoded one at a time, and the first entry
+    holding an id that is not UTF-8 raises IndexFormatError.
+    """
+    u16 = np.ndarray(len(data) - 1, "<u2", data, 0, (1,))  # the u16 that starts at each byte
+    starts = np.array(run_at, dtype=np.int64)
+    clen = u16[starts].astype(np.int64)
+    dlen = u16[starts + 2 + clen].astype(np.int64)
+    if entries > len(starts):  # spread the runs over their entries
+        stride = 8 + clen + dlen
+        n = np.diff(starts, append=end) // stride
+        starts = np.repeat(starts - (np.cumsum(n) - n) * stride, n) + np.arange(entries) * np.repeat(stride, n)
+        clen, dlen = np.repeat(clen, n), np.repeat(dlen, n)
+    doc_at = starts + 2 + clen
+    section_at = doc_at + 2 + dlen
+    sections = np.ndarray(len(data) - 3, "<u4", data, 0, (1,))[section_at].tolist()
+    # Keep each id with the high byte of its length, set to NUL; drop the rest of the framing.
+    t0 = run_at[0] if run_at else end
+    raw = np.frombuffer(data, np.uint8, end - t0, t0).copy()
+    keep = np.ones(end - t0, dtype=bool)
+    for length_at in (starts - t0, doc_at - t0):
+        keep[length_at] = False
+        raw[length_at + 1] = 0
+    for k in range(4):
+        keep[section_at + (k - t0)] = False
+    try:
+        pieces = raw[keep].tobytes().decode("utf-8").split("\0")
+    except UnicodeDecodeError:
+        pieces = []
+    if len(pieces) == 2 * entries + 1:
+        chunk_ids, doc_ids = pieces[1::2], pieces[2::2]
+    else:
+        chunk_ids, doc_ids = [], []
+        for entry, (a, b, c) in enumerate(zip(starts.tolist(), doc_at.tolist(), section_at.tolist())):
+            chunk_ids.append(_decode_id(path, data, entry, a + 2, b))
+            doc_ids.append(_decode_id(path, data, entry, b + 2, c))
+    return chunk_ids, doc_ids, sections
+
+
+def _decode_id(path: str | Path, data: bytes, entry: int, lo: int, hi: int) -> str:
+    """The id at ``data[lo:hi]`` of id table entry *entry*; one that is not UTF-8 raises IndexFormatError.
+
+    An id that the end of the file cuts is decoded up to the cut, where a
+    split character is not an error: the cut is.
+    """
+    try:
+        return codecs.utf_8_decode(data[lo:hi], "strict", hi <= len(data))[0]
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"{path}: id table entry {entry} is not UTF-8 ({exc.reason})") from exc
+
+
+def _check_cut_entry(path: str | Path, data: bytes, offset: int, entry: int) -> None:
+    """Raise the defect of id table entry *entry* at *offset*, which the end of the file cuts.
+
+    That is an id of it that is not UTF-8 before the cut, else the cut.
+    """
+    size = len(data)
+    if offset + 2 <= size:
+        doc_at = offset + 2 + (data[offset] | data[offset + 1] << 8)
+        _decode_id(path, data, entry, offset + 2, doc_at)
+        if doc_at + 2 <= size:
+            _decode_id(path, data, entry, doc_at + 2, doc_at + 2 + (data[doc_at] | data[doc_at + 1] << 8))
+    raise IndexFormatError(f"{path}: truncated id table")
+
+
 def load_index(path: str | Path) -> VectorIndex:
     """Read and validate a CIRX v2 file; any defect raises IndexFormatError."""
     data = Path(path).read_bytes()
@@ -188,26 +327,10 @@ def load_index(path: str | Path) -> VectorIndex:
     # Each entry takes at least 8 id-table and 4 * dim vector bytes: bound the loop.
     if count * (8 + 4 * dim) > len(data) - offset:
         raise IndexFormatError(f"{path}: truncated id table")
-    chunk_ids: list[str] = []
-    doc_ids: list[str] = []
-    sections: list[int] = []
-    decoded: dict[bytes, str] = {}  # doc id bytes -> str; only a decode that succeeded is kept
-    try:
-        for _ in range(count):
-            end = offset + 2 + (data[offset] | data[offset + 1] << 8)
-            chunk_ids.append(data[offset + 2 : end].decode("utf-8"))
-            offset = end + 2 + (data[end] | data[end + 1] << 8)
-            raw = data[end + 2 : offset]
-            doc_id = decoded.get(raw)
-            if doc_id is None:
-                doc_id = decoded[raw] = raw.decode("utf-8")
-            doc_ids.append(doc_id)
-            sections.append(_U32.unpack_from(data, offset)[0])
-            offset += 4
-    except UnicodeDecodeError as exc:
-        raise IndexFormatError(f"{path}: id table entry {len(doc_ids)} is not UTF-8 ({exc.reason})") from exc
-    except (IndexError, struct.error) as exc:  # a length or section read past the end of the file
-        raise IndexFormatError(f"{path}: truncated id table") from exc
+    run_at, entries, offset = _id_runs(data, offset, count)
+    chunk_ids, doc_ids, sections = _id_columns(path, data, run_at, entries, offset)
+    if entries < count:  # the file ends inside the next entry; an earlier bad id was raised first
+        _check_cut_entry(path, data, offset, entries)
     # A file cut inside the vectors fails this check; one cut inside the id table failed above.
     expected = offset + count * dim * 4
     if len(data) != expected:

@@ -578,3 +578,40 @@ def test_report_refuses_a_sweep_file_missing_a_record(tmp_path, capsys, drop):
         assert main(argv) == EXIT_FORMAT
         assert f"{sweep}: expected one {drop} record, found 0" in capsys.readouterr().err
         assert not (tmp_path / fmt).exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["query", "chunk", "inject", "embed", "report", "gen --config", "query under a file"],
+)
+def test_an_input_path_no_file_can_be_read_from_is_a_missing_input(tmp_path, capsys, command):
+    corpus, directory, regular = tmp_path / "corpus.jsonl", tmp_path / "dir", tmp_path / "file"
+    assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
+    directory.mkdir()
+    regular.write_text("kept")
+    out = str(tmp_path / "out")
+    argv, named = {
+        "query": (["query", "--index", str(directory), "--text", "a b"], directory),
+        "chunk": (["chunk", "--corpus", str(directory), "--out", out], directory),
+        "inject": (
+            ["inject", "--corpus", str(corpus), "--chunks", str(directory), "--strategy", "low", "--out", out],
+            directory,
+        ),
+        "embed": (["embed", "--enriched", str(directory), "--out", out], directory),
+        "report": (["report", "--sweep", str(directory), "--format", "csv", "--out-dir", out], directory),
+        "gen --config": (["gen", "--config", str(directory), "--out", out], directory),
+        "query under a file": (["query", "--index", str(regular / "x"), "--text", "a b"], regular / "x"),
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_MISSING
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {named}: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_query_on_an_index_whose_dim_no_embedder_takes_is_a_format_error(tmp_path, capsys):
+    vectors = tmp_path / "dim4.cirx"
+    save_index(build_index([("a:s000:t00000", "a", 0, np.array([0.6, 0.8, 0.0, 0.0]))], hash_seed=3), vectors)
+    assert main(["query", "--index", str(vectors), "--text", "hello"]) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {vectors}: ") and "dim" in err and "--dim" not in err

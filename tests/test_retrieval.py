@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import struct
 import tracemalloc
 
 import numpy as np
@@ -322,3 +323,141 @@ def test_build_index_peak_memory_is_the_float64_matrix_and_a_block():
         tracemalloc.stop()
     # A full float32 stack before the float64 copy would put the peak near 1.5 times the matrix.
     assert peak < 1.2 * index.vectors.nbytes
+
+
+def _load_entry_by_entry(path) -> tuple[list[str], list[str], list[int]]:
+    """The id table read entry by entry, as load_index read it before it worked a column at a time."""
+    data = path.read_bytes()
+    (count,) = struct.unpack_from("<Q", data, 10)
+    offset = 26
+    chunk_ids: list[str] = []
+    doc_ids: list[str] = []
+    sections: list[int] = []
+    try:
+        for _ in range(count):
+            end = offset + 2 + (data[offset] | data[offset + 1] << 8)
+            chunk_ids.append(data[offset + 2 : end].decode("utf-8"))
+            offset = end + 2 + (data[end] | data[end + 1] << 8)
+            doc_ids.append(data[end + 2 : offset].decode("utf-8"))
+            sections.append(struct.unpack_from("<I", data, offset)[0])
+            offset += 4
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"{path}: id table entry {len(doc_ids)} is not UTF-8 ({exc.reason})") from exc
+    except (IndexError, struct.error) as exc:
+        raise IndexFormatError(f"{path}: truncated id table") from exc
+    return chunk_ids, doc_ids, sections
+
+
+def _saved(tmp_path, ids: list[tuple[str, str]]):
+    """A saved dim-2 index holding *ids* as (chunk id, doc id) pairs, with sections that differ per entry."""
+    angles = np.linspace(0.0, 3.0, len(ids))
+    vectors = np.stack([np.cos(angles), np.sin(angles)], axis=1) if ids else np.zeros((0, 2))
+    entries = [(cid, did, (i * 7919) % 70000, vec) for i, ((cid, did), vec) in enumerate(zip(ids, vectors))]
+    path = tmp_path / "vectors.cirx"
+    save_index(build_index(entries, hash_seed=9), path)
+    return path
+
+
+def _table_end(path) -> int:
+    """Where the vectors of a file ``_saved`` wrote start."""
+    data = path.read_bytes()
+    (count,) = struct.unpack_from("<Q", data, 10)
+    return len(data) - count * 2 * 4
+
+
+def _reference_ids() -> list[tuple[str, str]]:
+    # The reference index's two runs: 635 entries of (26, 14) bytes, then 420 of (30, 18).
+    return [
+        (f"{kind}-{i // 20:04d}:s{i % 20:03d}:t{i % 3 * 250:05d}", f"{kind}-{i // 20:04d}")
+        for kind, n in (("normative", 635), ("transactional", 420))
+        for i in range(n)
+    ]
+
+
+_ID_TABLES = {
+    "reference-shaped": _reference_ids(),
+    "lengths change at every entry": [("c" * (1 + i % 2) + f"{i}", "d" * (2 - i % 2)) for i in range(300)],
+    "three strides in turn": [("c" * (i % 3) + f"{i:04d}", "d" * (2 - i % 3 % 2)) for i in range(300)],
+    "lengths change at the last entry only": [(f"c{i:05d}", "doc") for i in range(1199)] + [("c-last", "doc-last")],
+    "runs of two": [("c" * (i // 2 % 2) + f"{i:04d}", "d") for i in range(200)],
+    "runs of one to forty entries, then a long one": [
+        ("c" * (run % 2) + f"{run:02d}-{i:02d}", "d") for run in [*range(1, 41), 60, 500] for i in range(run)
+    ],
+    "multi-byte UTF-8": [(f"κεφ-{i:03d}-é", "文書" if i % 3 else "𝔡oc") for i in range(100)],
+    "an id holds the separator": [(f"c{i:03d}", "d") for i in range(50)] + [("c\0nul", "d\0"), ("c-after", "d")],
+    "an empty doc id": [(f"c{i:03d}", "" if i % 5 == 2 else "d") for i in range(60)],
+    "one entry": [("only", "doc")],
+    "zero entries": [],
+}
+
+
+@pytest.mark.parametrize("table", list(_ID_TABLES))
+def test_column_wise_load_equals_the_entry_by_entry_walk(tmp_path, table):
+    path = _saved(tmp_path, _ID_TABLES[table])
+    loaded = load_index(path)
+    assert (loaded.chunk_ids, loaded.doc_ids, loaded.section_indexes) == _load_entry_by_entry(path)
+    assert loaded.chunk_ids == [cid for cid, _ in _ID_TABLES[table]]
+    expected = np.frombuffer(path.read_bytes(), dtype="<f4", offset=_table_end(path)).astype(np.float64)
+    assert loaded.vectors.tobytes() == expected.tobytes()
+
+
+def _long_ids(n: int) -> list[tuple[str, str]]:
+    # Ids longer than a dim-2 vector, so a file cut inside its id table passes load_index's size bound.
+    return [(f"chunk-{i:04d}" + "c" * 30, f"doc-{i // 3:03d}" + "d" * 20) for i in range(n)]
+
+
+@pytest.mark.parametrize("entry", [0, 5, 9])
+@pytest.mark.parametrize("column", ["chunk id", "doc id"])
+def test_an_id_that_is_not_utf8_names_its_entry_as_the_walk_did(tmp_path, entry, column):
+    ids = _long_ids(10)
+    path = _saved(tmp_path, ids)
+    target = ids[entry][0 if column == "chunk id" else 1].encode()
+    data = path.read_bytes()
+    at = data.index(target) if column == "chunk id" else data.index(target, data.index(ids[entry][0].encode()))
+    path.write_bytes(data[: at + 3] + b"\xc3\x28" + data[at + 5 :])
+    with pytest.raises(IndexFormatError) as walked:
+        _load_entry_by_entry(path)
+    with pytest.raises(IndexFormatError) as loaded:
+        load_index(path)
+    assert str(loaded.value) == str(walked.value)
+    assert f"entry {entry} is not UTF-8 (invalid continuation byte)" in str(loaded.value)
+
+
+def test_a_cut_at_every_byte_of_the_last_two_entries_is_truncation(tmp_path):
+    path = _saved(tmp_path, _long_ids(12))
+    data, end = path.read_bytes(), _table_end(path)
+    entry = 2 + len(_long_ids(12)[0][0]) + 2 + len(_long_ids(12)[0][1]) + 4
+    for cut in range(end - 2 * entry, end):
+        path.write_bytes(data[:cut])
+        with pytest.raises(IndexFormatError, match="truncated id table$"):
+            load_index(path)
+        with pytest.raises(IndexFormatError, match="truncated id table$"):
+            _load_entry_by_entry(path)
+
+
+@pytest.mark.parametrize("bad", [3, 11])
+def test_a_bad_id_before_a_cut_is_the_defect_reported(tmp_path, bad):
+    ids = _long_ids(12)
+    path = _saved(tmp_path, ids)
+    data = path.read_bytes()
+    cut = data.index(ids[11][1].encode(), data.index(ids[11][0].encode())) + 4  # inside the last doc id
+    at = data.index(ids[bad][0].encode())
+    data = data[:at] + b"\xff" + data[at + 1 :]
+    path.write_bytes(data[:cut])
+    with pytest.raises(IndexFormatError, match=f"entry {bad} is not UTF-8 \\(invalid start byte\\)"):
+        load_index(path)
+    with pytest.raises(IndexFormatError, match=f"entry {bad} is not UTF-8"):
+        _load_entry_by_entry(path)
+
+
+def test_a_cut_inside_a_character_of_an_id_is_truncation(tmp_path):
+    ids = [(f"chunk-{i:04d}" + "é" * 20, f"doc-{i:03d}" + "d" * 20) for i in range(12)]
+    path = _saved(tmp_path, ids)
+    data = path.read_bytes()
+    cut = data.index(ids[11][0].encode()) + 13  # between the two bytes of the last chunk id's second 'é'
+    path.write_bytes(data[:cut])
+    with pytest.raises(IndexFormatError, match="truncated id table$"):
+        load_index(path)
+    # Read entry by entry, the cut character itself was the defect.
+    with pytest.raises(IndexFormatError, match="entry 11 is not UTF-8 \\(unexpected end of data\\)"):
+        _load_entry_by_entry(path)
