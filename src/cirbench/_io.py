@@ -130,6 +130,21 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T], unique: str | None 
     return out
 
 
+def string_list(rec: dict, key: str) -> list[str]:
+    """``rec[key]``, which must be a JSON array of strings; anything else is a ValueError naming *key*.
+
+    A string is refused too, rather than split into its characters.
+    """
+    value = rec[key]
+    try:
+        if type(value) is list:
+            "".join(value)  # a TypeError at the first item that is not a string
+            return list(value)  # sized to its items: the parsed list keeps its growth slack
+    except TypeError:
+        pass
+    raise ValueError(f"{key}: expected a JSON array of strings")
+
+
 def read_run_config(path: str | Path) -> dict:
     """The ``run_config`` record leading a JSONL file, without its type; {} when there is none."""
     _, line = next(_lines(path), (0, ""))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from ._io import read_jsonl, write_jsonl
+from ._io import read_jsonl, string_list, write_jsonl
 from .errors import ConfigError
 
 if TYPE_CHECKING:
@@ -53,11 +53,11 @@ def make_chunk_id(doc_id: str, section_index: int, offset: int) -> str:
 
 
 def parse_chunk_id(chunk_id: str) -> tuple[str, int, int]:
-    """Recover (doc_id, section_index, token offset) from a chunk id."""
+    """Recover (doc_id, section_index, token offset) from a chunk id; its numbers are ASCII digits."""
     if not isinstance(chunk_id, str):
         raise ValueError(f"chunk id must be a string, got {chunk_id!r}")
     doc_id, sec, off = chunk_id.rsplit(":", 2)
-    if not sec.startswith("s") or not off.startswith("t"):
+    if not (sec[:1] == "s" and off[:1] == "t" and sec[1:].isdigit() and off[1:].isdigit() and (sec + off).isascii()):
         raise ValueError(f"malformed chunk id: {chunk_id!r}")
     return doc_id, int(sec[1:]), int(off[1:])
 
@@ -104,8 +104,8 @@ def _chunk_from_record(rec: dict) -> Chunk:
         chunk_id=rec["chunk_id"],
         doc_id=doc_id,
         section_index=section_index,
-        heading_path=list(rec["heading_path"]),
-        tokens=list(rec["tokens"]),
+        heading_path=string_list(rec, "heading_path"),
+        tokens=string_list(rec, "tokens"),
     )
 
 

@@ -16,8 +16,8 @@ Exit codes: 0 success, 2 invalid flags or out-of-range configuration
 values (an output path that is a directory or lies under a regular file
 among them), 3 missing input file, or an input path that is a directory
 or lies under a regular file, 4 format/parse error (including bytes that
-are not UTF-8, and an index whose dim no embedder takes), 1 any other
-failure.
+are not UTF-8, an index whose dim no embedder takes, and an enriched
+chunk that an index file cannot hold), 1 any other failure.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from ._io import check_target, read_run_config
 from .chunking import chunk_document, read_chunks, tokenize, write_chunks
 from .corpus import CorpusConfig, deserialize_corpus, generate_corpus, serialize_corpus, split_doc_count
 from .embedding import EmbedderConfig, get_embedder
-from .errors import CirbenchError, ConfigError, FormatError
+from .errors import CirbenchError, ConfigError, FormatError, IndexValidationError
 from .evaluation import emit_report, parse_report_jsonl, report_csv, run_sweep
 from .injection import STRATEGY_KINDS, InjectionStrategy, build_context, enrich, read_enriched, write_enriched
 from .retrieval import build_index, load_index, save_index, search
@@ -175,7 +175,11 @@ def cmd_embed(args: argparse.Namespace) -> int:
     entries = [
         (r["chunk_id"], r["doc_id"], r["section_index"], vectors[i]) for i, r in enumerate(records)
     ]
-    save_index(build_index(entries, config.hash_seed), args.out)
+    index = build_index(entries, config.hash_seed)
+    try:
+        save_index(index, args.out)
+    except IndexValidationError as exc:  # an entry of the enriched file that CIRX cannot hold
+        raise FormatError(f"{args.enriched}: {exc}") from exc
     print(f"wrote {len(entries)} vectors (dim {config.dim}) to {args.out}")
     return EXIT_OK
 

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterable
 
 from ._hash import fork_seed
-from ._io import read_jsonl, write_jsonl
+from ._io import read_jsonl, string_list, write_jsonl
 from .chunking import MIN_CHUNK_TARGET, make_chunk_id
 from .errors import ConfigError, CorpusFormatError
 
@@ -456,16 +456,16 @@ def _from_record(rec: dict) -> Document | list[QuerySpec]:
         return Document(
             doc_id=rec["doc_id"],
             typology=rec["typology"],
-            title=list(rec["title"]),
+            title=string_list(rec, "title"),
             sections=[
                 Section(
-                    heading_path=list(s["heading_path"]),
-                    body=list(s["body"]),
+                    heading_path=string_list(s, "heading_path"),
+                    body=string_list(s, "body"),
                     facts=[
                         Fact(
                             fact_id=f["fact_id"],
-                            key_phrase=list(f["key_phrase"]),
-                            statement=list(f["statement"]),
+                            key_phrase=string_list(f, "key_phrase"),
+                            statement=string_list(f, "statement"),
                             home_section=int(f["home_section"]),
                         )
                         for f in s["facts"]
@@ -479,8 +479,8 @@ def _from_record(rec: dict) -> Document | list[QuerySpec]:
             QuerySpec(
                 query_id=q["query_id"],
                 intent=q["intent"],
-                text=list(q["text"]),
-                gold_chunk_ids=set(q["gold_chunk_ids"]),
+                text=string_list(q, "text"),
+                gold_chunk_ids=set(string_list(q, "gold_chunk_ids")),
                 gold_doc_id=q["gold_doc_id"],
             )
             for q in rec["queries"]

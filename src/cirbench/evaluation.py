@@ -25,7 +25,7 @@ from .chunking import Chunk, chunk_document, parse_chunk_id
 from .corpus import SPECIFIC, THEMATIC, CorpusConfig, Document, QuerySpec, corpus_records
 from .embedding import EmbedderConfig, get_embedder
 from .errors import ConfigError, CorpusFormatError
-from .injection import EnrichedSums, InjectionStrategy
+from .injection import STRATEGY_KINDS, EnrichedSums, InjectionStrategy
 from .retrieval import Hit, build_index, search
 
 # The report's columns in file order, each with the MetricRow field it holds: the
@@ -306,6 +306,8 @@ def _from_record(rec: dict) -> str | MetricRow | SweepFlags:
         return str(rec["config_digest"])
     if kind == "row":
         strategy, *measures, share = (rec[column] for column in _COLUMNS)
+        if strategy not in STRATEGY_KINDS:  # it names a plotdata file, so it must be one of these
+            raise ValueError(f"unknown strategy {strategy!r}")
         return MetricRow(strategy, *map(float, measures), _optional_float(share))
     if kind == "flags":
         return SweepFlags(bool(rec["inverted_u"]), _optional_float(rec["curve_cross_cir"]))
@@ -315,8 +317,9 @@ def _from_record(rec: dict) -> str | MetricRow | SweepFlags:
 def parse_report_jsonl(path: str | Path) -> SweepReport:
     """Read a sweep.jsonl: one sweep record, the rows, and one flags record equal to ``sweep_flags`` of the rows.
 
-    A missing or repeated sweep or flags record, two rows of one strategy,
-    or flags that disagree with the rows, is a CorpusFormatError naming *path*.
+    A missing or repeated sweep or flags record, a row whose strategy is not
+    one of ``STRATEGY_KINDS`` or repeats another row's, or flags that
+    disagree with the rows, is a CorpusFormatError naming *path*.
     """
     records = read_jsonl(path, _from_record, unique="strategy")
     digests = [r for r in records if isinstance(r, str)]

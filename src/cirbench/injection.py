@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._io import read_jsonl, write_jsonl
+from ._io import read_jsonl, string_list, write_jsonl
 from .chunking import Chunk, parse_chunk_id
 from .corpus import Document
 from .embedding import Embedder, EmbedderConfig, get_embedder, unit
@@ -310,7 +310,7 @@ def _enriched_from_record(rec: dict) -> dict:
         "section_index": section_index,
         "strategy": rec["strategy"],
         "cir": float(rec["cir"]),
-        "tokens": list(rec["tokens"]),
+        "tokens": string_list(rec, "tokens"),
     }
 
 

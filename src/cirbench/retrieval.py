@@ -13,16 +13,11 @@ File format (all integers little-endian): magic ``CIRX``, version u16
 u16-length-prefixed UTF-8 chunk id, a u16-length-prefixed UTF-8 doc id
 and a u32 section index; then the packed float32 vectors in entry order.
 
-``load_index`` reads the id table a column at a time. It reads each
-entry's two u16 lengths in Python, except inside a run of entries with
-equal lengths: there numpy compares the length fields at the offsets the
-rest of the run would have, the bytes an entry-by-entry walk reads, so the
-offsets are exact for any file. One UTF-8 decode of the ids, each after
-one NUL, then yields every id, and one gather every section; a table that
-does not split into two ids per entry (an id holds a NUL or is not UTF-8)
-is decoded entry by entry. The first defect in file order is reported: an
-id that is not UTF-8 names its entry, and a file that ends inside the
-table, even inside a character of an id, is a truncated id table.
+``load_index`` has two readers of the id table. The column-wise one
+finds the entries' offsets, skipping runs of equal id lengths with numpy
+checks of the length fields, then decodes every id at once; it gives up on
+a cut table or an id that holds a NUL or is not UTF-8. The entry-by-entry
+walk then reads the table and reports its first defect in file order.
 """
 
 from __future__ import annotations
@@ -161,31 +156,35 @@ def save_index(index: VectorIndex, path: str | Path) -> None:
     """Write the binary index; the vector payload round-trips bit-exactly.
 
     An index without a ``hash_seed`` is refused: a reader could not embed
-    queries that match its vectors.
+    queries that match its vectors. So is one with an entry the format
+    cannot hold, before anything is written.
     """
     if index.hash_seed is None:
         raise IndexValidationError("cannot save an index without the embedder's hash_seed")
     parts = [MAGIC, _HEADER.pack(VERSION, index.dim, index.count, index.hash_seed)]
-    for cid, did, sec in zip(index.chunk_ids, index.doc_ids, index.section_indexes):
-        cid_b = cid.encode("utf-8")
-        did_b = did.encode("utf-8")
-        parts.append(struct.pack("<H", len(cid_b)))
-        parts.append(cid_b)
-        parts.append(struct.pack("<H", len(did_b)))
-        parts.append(did_b)
-        parts.append(struct.pack("<I", sec))
+    try:
+        for entry, (cid, did, sec) in enumerate(zip(index.chunk_ids, index.doc_ids, index.section_indexes)):
+            cid_b, did_b = cid.encode("utf-8"), did.encode("utf-8")
+            parts.append(struct.pack("<H", len(cid_b)))
+            parts.append(cid_b)
+            parts.append(struct.pack("<H", len(did_b)))
+            parts.append(did_b)
+            parts.append(struct.pack("<I", sec))
+    except (UnicodeEncodeError, struct.error) as exc:
+        name = cid if len(cid) <= 80 else cid[:77] + "..."
+        rule = f"each id must be UTF-8 of at most 65535 bytes and the section a u32, 0 to {(1 << 32) - 1}"
+        raise IndexValidationError(f"entry {entry} ({name!r}) does not fit CIRX: {rule}") from exc
     parts.append(np.ascontiguousarray(index.vectors, dtype="<f4").tobytes())
     atomic_write_bytes(path, b"".join(parts))
 
 
-def _id_runs(data: bytes, offset: int, count: int) -> tuple[list[int], int, int]:
-    """The offsets of the id table's runs of entries with equal id lengths, their entries, and where they end.
+def _id_runs(data: bytes, offset: int, count: int) -> tuple[list[int], int] | None:
+    """The offsets of the id table's runs of entries with equal id lengths, and where the table ends.
 
     ``_run_length`` checks a run ahead once *need* entries in a row share
     their lengths, from the second at first; a check that skips fewer than
     ``_RUN_PAYS`` entries doubles *need*, so short runs cost one Python step
-    per entry. The runs stop short of *count* entries only when the file
-    ends inside the next one.
+    per entry. None if the file ends inside the table.
     """
     size, run_at, done = len(data), [], 0
     append = run_at.append
@@ -211,11 +210,8 @@ def _id_runs(data: bytes, offset: int, count: int) -> tuple[list[int], int, int]
                 offset += n * stride
                 done += n
     except IndexError:  # a length read past the end of the file
-        pass
-    if offset > size:  # the file ends inside the last entry appended, a run of one
-        offset = run_at.pop()
-        done -= 1
-    return run_at, done, offset
+        return None
+    return (run_at, offset) if offset <= size else None
 
 
 def _run_length(data: bytes, offset: int, stride: int, c: int, d: int, limit: int) -> int:
@@ -238,74 +234,68 @@ def _run_length(data: bytes, offset: int, stride: int, c: int, d: int, limit: in
     return n
 
 
-def _id_columns(
-    path: str | Path, data: bytes, run_at: list[int], entries: int, end: int
-) -> tuple[list[str], list[str], list[int]]:
-    """Chunk ids, doc ids and sections of the *entries* entries in the runs at *run_at*, which end at *end*.
+def _id_columns(data: bytes, offset: int, count: int) -> tuple[list[str], list[str], list[int], int] | None:
+    """Chunk ids, doc ids and sections of the *count* entries of the id table at *offset*, and where it ends.
 
-    One decode serves every id, unless an id holds a NUL or bytes that are
-    not UTF-8; then the ids are decoded one at a time, and the first entry
-    holding an id that is not UTF-8 raises IndexFormatError.
+    One decode serves every id. None if the file ends inside the table, or
+    an id holds a NUL or bytes that are not UTF-8: ``_walk`` reads those.
     """
+    runs = _id_runs(data, offset, count)
+    if runs is None:
+        return None
+    run_at, end = runs
     u16 = np.ndarray(len(data) - 1, "<u2", data, 0, (1,))  # the u16 that starts at each byte
     starts = np.array(run_at, dtype=np.int64)
     clen = u16[starts].astype(np.int64)
     dlen = u16[starts + 2 + clen].astype(np.int64)
-    if entries > len(starts):  # spread the runs over their entries
+    if count > len(starts):  # spread the runs over their entries
         stride = 8 + clen + dlen
         n = np.diff(starts, append=end) // stride
-        starts = np.repeat(starts - (np.cumsum(n) - n) * stride, n) + np.arange(entries) * np.repeat(stride, n)
+        starts = np.repeat(starts - (np.cumsum(n) - n) * stride, n) + np.arange(count) * np.repeat(stride, n)
         clen, dlen = np.repeat(clen, n), np.repeat(dlen, n)
     doc_at = starts + 2 + clen
     section_at = doc_at + 2 + dlen
     sections = np.ndarray(len(data) - 3, "<u4", data, 0, (1,))[section_at].tolist()
     # Keep each id with the high byte of its length, set to NUL; drop the rest of the framing.
-    t0 = run_at[0] if run_at else end
-    raw = np.frombuffer(data, np.uint8, end - t0, t0).copy()
-    keep = np.ones(end - t0, dtype=bool)
-    for length_at in (starts - t0, doc_at - t0):
+    raw = np.frombuffer(data, np.uint8, end - offset, offset).copy()
+    keep = np.ones(end - offset, dtype=bool)
+    for length_at in (starts - offset, doc_at - offset):
         keep[length_at] = False
         raw[length_at + 1] = 0
     for k in range(4):
-        keep[section_at + (k - t0)] = False
+        keep[section_at + (k - offset)] = False
     try:
         pieces = raw[keep].tobytes().decode("utf-8").split("\0")
     except UnicodeDecodeError:
-        pieces = []
-    if len(pieces) == 2 * entries + 1:
-        chunk_ids, doc_ids = pieces[1::2], pieces[2::2]
-    else:
-        chunk_ids, doc_ids = [], []
-        for entry, (a, b, c) in enumerate(zip(starts.tolist(), doc_at.tolist(), section_at.tolist())):
-            chunk_ids.append(_decode_id(path, data, entry, a + 2, b))
-            doc_ids.append(_decode_id(path, data, entry, b + 2, c))
-    return chunk_ids, doc_ids, sections
+        return None
+    if len(pieces) != 2 * count + 1:
+        return None
+    return pieces[1::2], pieces[2::2], sections, end
 
 
-def _decode_id(path: str | Path, data: bytes, entry: int, lo: int, hi: int) -> str:
-    """The id at ``data[lo:hi]`` of id table entry *entry*; one that is not UTF-8 raises IndexFormatError.
+def _walk(path: str | Path, data: bytes, offset: int, count: int) -> tuple[list[str], list[str], list[int], int]:
+    """The id table at *offset* read entry by entry, as ``_id_columns`` returns it, or its first defect in file order.
 
-    An id that the end of the file cuts is decoded up to the cut, where a
-    split character is not an error: the cut is.
+    A defect raises IndexFormatError: an id that is not UTF-8 names its
+    entry, and a file that ends inside the table, even inside a character
+    of an id, is a truncated id table.
     """
-    try:
-        return codecs.utf_8_decode(data[lo:hi], "strict", hi <= len(data))[0]
-    except UnicodeDecodeError as exc:
-        raise IndexFormatError(f"{path}: id table entry {entry} is not UTF-8 ({exc.reason})") from exc
-
-
-def _check_cut_entry(path: str | Path, data: bytes, offset: int, entry: int) -> None:
-    """Raise the defect of id table entry *entry* at *offset*, which the end of the file cuts.
-
-    That is an id of it that is not UTF-8 before the cut, else the cut.
-    """
-    size = len(data)
-    if offset + 2 <= size:
-        doc_at = offset + 2 + (data[offset] | data[offset + 1] << 8)
-        _decode_id(path, data, entry, offset + 2, doc_at)
-        if doc_at + 2 <= size:
-            _decode_id(path, data, entry, doc_at + 2, doc_at + 2 + (data[doc_at] | data[doc_at + 1] << 8))
-    raise IndexFormatError(f"{path}: truncated id table")
+    size, ids, sections = len(data), [], []
+    for entry in range(count):
+        for _ in range(2):  # the chunk id, then the doc id
+            if offset + 2 > size:
+                raise IndexFormatError(f"{path}: truncated id table")
+            end = offset + 2 + (data[offset] | data[offset + 1] << 8)
+            try:
+                ids.append(codecs.utf_8_decode(data[offset + 2 : end], "strict", end <= size)[0])
+            except UnicodeDecodeError as exc:
+                raise IndexFormatError(f"{path}: id table entry {entry} is not UTF-8 ({exc.reason})") from exc
+            offset = end
+        if offset + 4 > size:
+            raise IndexFormatError(f"{path}: truncated id table")
+        sections.append(int.from_bytes(data[offset : offset + 4], "little"))
+        offset += 4
+    return ids[::2], ids[1::2], sections, offset
 
 
 def load_index(path: str | Path) -> VectorIndex:
@@ -327,10 +317,7 @@ def load_index(path: str | Path) -> VectorIndex:
     # Each entry takes at least 8 id-table and 4 * dim vector bytes: bound the loop.
     if count * (8 + 4 * dim) > len(data) - offset:
         raise IndexFormatError(f"{path}: truncated id table")
-    run_at, entries, offset = _id_runs(data, offset, count)
-    chunk_ids, doc_ids, sections = _id_columns(path, data, run_at, entries, offset)
-    if entries < count:  # the file ends inside the next entry; an earlier bad id was raised first
-        _check_cut_entry(path, data, offset, entries)
+    chunk_ids, doc_ids, sections, offset = _id_columns(data, offset, count) or _walk(path, data, offset, count)
     # A file cut inside the vectors fails this check; one cut inside the id table failed above.
     expected = offset + count * dim * 4
     if len(data) != expected:

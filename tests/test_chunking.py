@@ -121,3 +121,11 @@ def test_read_chunks_rejects_doc_id_that_disagrees_with_chunk_id(tmp_path, small
     write_chunks(chunks, path)
     with pytest.raises(CorpusFormatError, match=f"line {len(chunks)}: .*disagrees"):
         read_chunks(path)
+
+
+@pytest.mark.parametrize("number", ["-01", "+1", "1_0", " 1", "1 ", "٣", "１", "²", ""])
+@pytest.mark.parametrize("part", ["section", "offset"])
+def test_chunk_id_numbers_are_ascii_digits(number, part):
+    chunk_id = f"normative-0000:s{number}:t00000" if part == "section" else f"normative-0000:s000:t{number}"
+    with pytest.raises(ValueError, match="malformed chunk id"):
+        parse_chunk_id(chunk_id)

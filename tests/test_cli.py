@@ -21,11 +21,12 @@ from cirbench import (
     strategy,
 )
 from cirbench._hash import fork_seed
-from cirbench._io import read_run_config
+from cirbench._io import read_run_config, write_jsonl
 from cirbench.chunking import write_chunks
 from cirbench.cli import EXIT_FORMAT, EXIT_MISSING, EXIT_OK, EXIT_USAGE, build_parser, main
 from cirbench.corpus import SPECIFIC, split_doc_count
 from cirbench.errors import IndexFormatError
+from cirbench.evaluation import MetricRow, SweepReport, emit_report, sweep_flags
 from cirbench.injection import STRATEGY_KINDS, write_enriched
 from cirbench.retrieval import save_index
 
@@ -615,3 +616,31 @@ def test_query_on_an_index_whose_dim_no_embedder_takes_is_a_format_error(tmp_pat
     assert main(["query", "--index", str(vectors), "--text", "hello"]) == EXIT_FORMAT
     err = capsys.readouterr().err
     assert err.startswith(f"error: {vectors}: ") and "dim" in err and "--dim" not in err
+
+
+@pytest.mark.parametrize("strategy, fmt", [(5, "csv"), ("../../escaped", "plotdata")])
+def test_report_refuses_a_row_whose_strategy_is_no_strategy_kind(tmp_path, capsys, strategy, fmt):
+    rows = [MetricRow("baseline", 0.0, 0.5, 0.8, 0.4, 0.1, None), MetricRow("high", 0.6, 0.4, 0.3, 0.9, 0.7, 0.5)]
+    (sweep,) = emit_report(SweepReport("cafe01234567", rows, sweep_flags(rows)), "jsonl", tmp_path / "sweep", {"seed": 7})
+    sweep.write_text(sweep.read_text().replace('"strategy": "high"', f'"strategy": {json.dumps(strategy)}'))
+    out = tmp_path / "rep" / "a" / "b"
+    assert main(["report", "--sweep", str(sweep), "--format", fmt, "--out-dir", str(out)]) == EXIT_FORMAT
+    assert f"error: {sweep}: line 4: bad record (ValueError: unknown strategy {strategy!r})" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "chunk_id, message",
+    [
+        ("normative-0000:s-01:t00000", "line 2: bad record (ValueError: malformed chunk id"),
+        ("normative-0000:s4294967296:t00000", "entry 0 ('normative-0000:s4294967296:t00000') does not fit CIRX"),
+        ("n" * 65536 + ":s000:t00000", f"entry 0 ('{'n' * 77}...') does not fit CIRX"),
+    ],
+    ids=["a signed section", "a section past a u32", "a chunk id past 65535 bytes"],
+)
+def test_embed_refuses_an_enriched_chunk_an_index_cannot_hold(tmp_path, capsys, chunk_id, message):
+    enriched, vectors = tmp_path / "enriched.jsonl", tmp_path / "vectors.cirx"
+    write_jsonl(enriched, [{"chunk_id": chunk_id, "strategy": "low", "cir": 0.1, "tokens": ["alpha", "beta"]}], {})
+    assert main(["embed", "--enriched", str(enriched), "--out", str(vectors)]) == EXIT_FORMAT
+    assert capsys.readouterr().err.startswith(f"error: {enriched}: {message}")
+    assert list(tmp_path.iterdir()) == [enriched]

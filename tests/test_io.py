@@ -152,3 +152,39 @@ def test_report_reader_requires_one_sweep_and_one_agreeing_flags_record(tmp_path
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusFormatError, match=f"{path}: {message}"):
         parse_report_jsonl(path)
+
+
+def _replace_first(node, field: str, value) -> bool:
+    """Set the first *field* found in the JSON value *node*, depth first, to *value*; whether one was found."""
+    if isinstance(node, dict):
+        if field in node:
+            node[field] = value
+            return True
+        node = list(node.values())
+    return isinstance(node, list) and any(_replace_first(child, field, value) for child in node)
+
+
+@pytest.mark.parametrize("value", ["abc def", [1, 2, 3], {"a": "b"}], ids=["a string", "numbers", "an object"])
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("chunks", "tokens"),
+        ("chunks", "heading_path"),
+        ("enriched", "tokens"),
+        *[("corpus", f) for f in ("title", "heading_path", "body", "key_phrase", "statement", "text", "gold_chunk_ids")],
+    ],
+)
+def test_a_field_that_is_not_an_array_of_strings_names_its_line_and_field(tmp_path, small_corpus, kind, field, value):
+    path = tmp_path / f"{kind}.jsonl"
+    _write(kind, path, small_corpus)
+    lines = path.read_text().splitlines()
+    lineno = 0
+    for lineno, line in enumerate(lines[1:], start=2):  # after the run_config line
+        rec = json.loads(line)
+        if _replace_first(rec, field, value):
+            lines[lineno - 1] = json.dumps(rec)
+            break
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{path}: line {lineno}: bad record (ValueError: {field}: expected a JSON array of strings)"
+    with pytest.raises(CorpusFormatError, match=re.escape(message)):
+        _READERS[kind](path)

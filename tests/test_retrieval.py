@@ -461,3 +461,99 @@ def test_a_cut_inside_a_character_of_an_id_is_truncation(tmp_path):
     # Read entry by entry, the cut character itself was the defect.
     with pytest.raises(IndexFormatError, match="entry 11 is not UTF-8 \\(unexpected end of data\\)"):
         _load_entry_by_entry(path)
+
+
+def _fuzz_ids(rng: random.Random) -> list[tuple[str, str]]:
+    """Runs of 1 to 40 entries and one long run, with multi-byte, NUL and empty ids; one chunk id may be empty."""
+    runs = [rng.randint(1, 40) for _ in range(rng.randint(1, 5))]
+    runs.insert(rng.randrange(len(runs) + 1), rng.randint(100, 300))
+    ids: list[tuple[str, str]] = []
+    for run in runs:
+        tail = "".join(rng.choice("aé文𝔡\0") for _ in range(rng.randint(0, 40)))
+        doc = "".join(rng.choice("dé\0") for _ in range(rng.randint(0, 6) // 2))
+        for _ in range(run):
+            ids.append((f"{len(ids):04d}{tail}", doc))
+    if rng.random() < 0.3:
+        ids.insert(rng.randrange(len(ids) + 1), ("", ""))
+    return ids
+
+
+def _walked(path) -> tuple[list[str], list[str], list[int], bytes] | str:
+    """What load_index must give for *path*: the entry-by-entry walk's columns and vector bytes, or the defect's message."""
+    data = path.read_bytes()
+    dim, count, hash_seed = struct.unpack_from("<IQQ", data, 6)
+    if count * (8 + 4 * dim) > len(data) - 26:  # load_index's bound: too short for even the smallest entries
+        return f"{path}: truncated id table"
+    try:
+        chunk_ids, doc_ids, sections = _load_entry_by_entry(path)
+    except IndexFormatError as exc:
+        return str(exc)
+    end = 26 + sum(8 + len(cid.encode()) + len(did.encode()) for cid, did in zip(chunk_ids, doc_ids))
+    if len(data) != end + count * dim * 4:
+        return f"{path}: expected {end + count * dim * 4} bytes, found {len(data)}"
+    vectors = np.frombuffer(data, dtype="<f4", offset=end).reshape(count, dim)
+    try:
+        index = VectorIndex(dim, chunk_ids, doc_ids, sections, vectors, hash_seed)
+    except IndexValidationError as exc:
+        return f"{path}: {exc}"
+    return chunk_ids, doc_ids, sections, index.vectors.tobytes()
+
+
+def _cut_inside(data: bytes, entry: int) -> bool:
+    """Whether the end of *data* cuts an id of id table entry *entry*."""
+    offset, u16 = 26, lambda at: data[at] | data[at + 1] << 8
+    for _ in range(entry):
+        offset += 2 + u16(offset)
+        offset += 6 + u16(offset)
+    doc_at = offset + 2 + u16(offset)
+    return doc_at > len(data) or doc_at + 2 + u16(doc_at) > len(data)
+
+
+def test_load_index_equals_the_walk_on_cut_and_flipped_files(tmp_path):
+    rng = random.Random(2020)
+    cut_characters = 0
+    for trial in range(120):
+        dim = (2, 8)[trial % 2]
+        ids = _fuzz_ids(rng)
+        angles = np.linspace(0.0, 3.0, len(ids))
+        vectors = np.zeros((len(ids), dim))
+        vectors[:, 0], vectors[:, 1] = np.cos(angles), np.sin(angles)
+        entries = [(cid, did, rng.randrange(1 << 32), vec) for (cid, did), vec in zip(ids, vectors)]
+        path = tmp_path / "vectors.cirx"
+        save_index(build_index(entries, hash_seed=trial), path)
+        data = path.read_bytes()
+        if trial % 3:  # a cut after the header, inside the id table half of the time
+            data = data[: rng.randrange(26, rng.choice([len(data), _table_end(path)]))]
+        else:  # one byte of the id table set to a value that breaks a length, a character or an id
+            at = rng.randrange(26, _table_end(path))
+            data = data[:at] + bytes([rng.choice([0, 1, 0x80, 0xC3, 0xFF, rng.randrange(256)])]) + data[at + 1 :]
+        path.write_bytes(data)
+        want = _walked(path)
+        try:
+            loaded = load_index(path)
+        except IndexFormatError as exc:
+            got = str(exc)
+        else:
+            got = loaded.chunk_ids, loaded.doc_ids, loaded.section_indexes, loaded.vectors.tobytes()
+        if isinstance(want, str) and want.endswith("is not UTF-8 (unexpected end of data)"):
+            entry = int(want.split("entry ")[1].split()[0])
+            if _cut_inside(data, entry):  # the one documented difference: the cut, not the split character
+                cut_characters += 1
+                want = f"{path}: truncated id table"
+        assert got == want, trial
+    assert cut_characters > 0
+
+
+@pytest.mark.parametrize(
+    "chunk_id, doc_id, section",
+    [("c" * 65536, "d", 0), ("c", "é" * 32768, 0), ("c", "d", -1), ("c", "d", 1 << 32), ("c\ud800", "d", 0)],
+    ids=["long chunk id", "long doc id", "negative section", "section past a u32", "lone surrogate"],
+)
+def test_an_entry_cirx_cannot_hold_is_refused_before_anything_is_written(tmp_path, chunk_id, doc_id, section):
+    entries = [("first", "d", 0, np.array([1.0, 0.0])), (chunk_id, doc_id, section, np.array([0.0, 1.0]))]
+    path = tmp_path / "vectors.cirx"
+    path.write_bytes(b"kept")
+    with pytest.raises(IndexValidationError, match=r"^entry 1 \('c.*'\) does not fit CIRX: each id must be UTF-8"):
+        save_index(build_index(entries, hash_seed=3), path)
+    assert path.read_bytes() == b"kept"
+    assert [p.name for p in tmp_path.iterdir()] == ["vectors.cirx"]
