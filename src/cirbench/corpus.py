@@ -137,6 +137,16 @@ class QuerySpec:
     gold_doc_id: str
 
 
+# The corpus file's fields in file order, each with its JSON kind: a string, an integer, an array of
+# strings (list), one written sorted (set), or an array of a dataclass's records. _record and _build use it.
+_FIELDS: dict[type, tuple[tuple[str, type], ...]] = {
+    Fact: (("fact_id", str), ("key_phrase", list), ("statement", list), ("home_section", int)),
+    Section: (("heading_path", list), ("body", list), ("facts", Fact)),
+    Document: (("doc_id", str), ("typology", str), ("title", list), ("sections", Section)),
+    QuerySpec: (("query_id", str), ("intent", str), ("text", list), ("gold_chunk_ids", set), ("gold_doc_id", str)),
+}
+
+
 # The hot loops below draw as Random.choice(seq), Random.randrange(n) and
 # Random.shuffle do, with CPython's _randbelow(n) inlined: getrandbits(k) for
 # k = n.bit_length(), redrawn while it is >= n. The draws and their order are
@@ -247,8 +257,8 @@ def _build_document(
     shared: list[str],
     config: CorpusConfig,
     key_counter: int,
-) -> tuple[Document, list[tuple[Fact, str]], list[str], dict[str, float], int]:
-    """Build one document; returns (doc, fact records, chunk ids, theme coverage, counter)."""
+) -> tuple[Document, list[tuple[Fact, str]], list[str], list[str], int]:
+    """Build one document; returns (doc, fact records, chunk ids, themes in at least half its windows, counter)."""
     target = config.chunk_token_target
     themes = topic_words[:THEMES_PER_DOC]
     section_pool = topic_words[THEMES_PER_DOC:]
@@ -256,33 +266,30 @@ def _build_document(
     title_str = " ".join(title)
 
     n_sections = rng.randint(*_SECTIONS_PER_DOC)
-    slice_size = max(4, len(section_pool) // n_sections)
+    slice_size = len(section_pool) // n_sections  # 16-30 words; tests/test_corpus.py pins the shape facts used here
 
-    repeats = min(KEY_REPEATS, max(1, (target - THEMES_PER_WINDOW - 6) // 4))
+    repeats = min(KEY_REPEATS, (target - THEMES_PER_WINDOW - 6) // 4)
 
     sections: list[Section] = []
     fact_records: list[tuple[Fact, str]] = []
     chunk_ids: list[str] = []
     theme_hits = {t: 0 for t in themes}
     window_cursor = 0
-    total_windows = 0
 
     for s_idx in range(n_sections):
-        start = (s_idx * slice_size) % max(1, len(section_pool))
-        section_words = section_pool[start : start + slice_size] or section_pool[:slice_size]
+        section_words = section_pool[s_idx * slice_size : (s_idx + 1) * slice_size]
         field_words = section_words[:_FIELD_WORDS_PER_SECTION]
         heading_theme = themes[s_idx % THEMES_PER_DOC]
         heading = f"{heading_theme} {section_words[0]} s{s_idx:02d}"
         heading_path = [title_str, heading]
         if rng.random() < 0.3:
-            heading_path.append(f"{section_words[1 % len(section_words)]} s{s_idx:02d}b")
+            heading_path.append(f"{section_words[1]} s{s_idx:02d}b")
 
         lo, hi = _WINDOWS_PER_SECTION[typology]
         lengths = [target] * rng.randint(lo, hi)
-        short_hi = target - 1
-        short_lo = min(_SHORT_WINDOW_MIN, short_hi)
-        if short_hi >= short_lo and rng.random() < _SHORT_WINDOW_PROB:
-            lengths.append(rng.randint(short_lo, min(short_hi, max(short_lo, target - 50))))
+        short_lo = min(_SHORT_WINDOW_MIN, target - 1)
+        if rng.random() < _SHORT_WINDOW_PROB:
+            lengths.append(rng.randint(short_lo, max(short_lo, target - 50)))
 
         statements: list[list[list[str]]] = [[] for _ in lengths]
         capacity = [L - THEMES_PER_WINDOW for L in lengths]
@@ -321,13 +328,12 @@ def _build_document(
             assert len(window) == wlen
             body.extend(window)
             chunk_ids.append(make_chunk_id(doc_id, s_idx, w * target))
-        total_windows += len(lengths)
 
         sections.append(Section(heading_path, body, facts))
 
-    coverage = {t: theme_hits[t] / total_windows for t in themes}
+    eligible = [t for t in themes if 2 * theme_hits[t] >= window_cursor]
     doc = Document(doc_id, typology, title, sections)
-    return doc, fact_records, chunk_ids, coverage, key_counter
+    return doc, fact_records, chunk_ids, eligible, key_counter
 
 
 def generate_corpus(config: CorpusConfig) -> tuple[list[Document], list[QuerySpec]]:
@@ -344,7 +350,7 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Document], list[QuerySpe
     fact_pool: list[tuple[Fact, Document, str]] = []
     doc_chunk_ids: dict[str, list[str]] = {}
     doc_themes: dict[str, list[str]] = {}
-    doc_coverage: dict[str, dict[str, float]] = {}
+    doc_eligible: dict[str, list[str]] = {}
     key_counter = 0
 
     for typology in TYPOLOGIES:
@@ -352,21 +358,19 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Document], list[QuerySpe
             topic_words = _fresh_words(vocab_rng, _VOCAB_TOPIC_SIZE, used)
             doc_rng = random.Random(fork_seed(config.seed, f"doc:{typology}:{i}"))
             doc_id = f"{typology}-{i:04d}"
-            doc, records, chunk_ids, coverage, key_counter = _build_document(
+            doc, records, chunk_ids, eligible, key_counter = _build_document(
                 doc_rng, doc_id, typology, topic_words, shared, config, key_counter
             )
             docs.append(doc)
             fact_pool.extend((fact, doc, gold) for fact, gold in records)
             doc_chunk_ids[doc_id] = chunk_ids
             doc_themes[doc_id] = topic_words[:THEMES_PER_DOC]
-            doc_coverage[doc_id] = coverage
+            doc_eligible[doc_id] = eligible
 
     queries: list[QuerySpec] = []
     q_rng = random.Random(fork_seed(config.seed, "queries"))
     n_specific = round(config.query_count * config.specific_fraction)
     n_thematic = config.query_count - n_specific
-    if n_specific > 0 and not fact_pool:
-        raise ConfigError("query_count: specific queries requested but no facts fit the chunk windows")
 
     order = list(range(len(fact_pool)))
     q_rng.shuffle(order)
@@ -385,7 +389,7 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Document], list[QuerySpe
 
     for j in range(n_thematic):
         doc = docs[q_rng.randrange(len(docs))]
-        eligible = [t for t in doc_themes[doc.doc_id] if doc_coverage[doc.doc_id][t] >= 0.5]
+        eligible = doc_eligible[doc.doc_id]
         k = q_rng.randint(min(3, len(eligible)), min(8, len(eligible)))
         queries.append(
             QuerySpec(
@@ -400,44 +404,19 @@ def generate_corpus(config: CorpusConfig) -> tuple[list[Document], list[QuerySpe
     return docs, queries
 
 
-def _doc_record(doc: Document) -> dict:
-    return {
-        "type": "document",
-        "doc_id": doc.doc_id,
-        "typology": doc.typology,
-        "title": doc.title,
-        "sections": [
-            {
-                "heading_path": s.heading_path,
-                "body": s.body,
-                "facts": [
-                    {
-                        "fact_id": f.fact_id,
-                        "key_phrase": f.key_phrase,
-                        "statement": f.statement,
-                        "home_section": f.home_section,
-                    }
-                    for f in s.facts
-                ],
-            }
-            for s in doc.sections
-        ],
-    }
-
-
-def _query_record(q: QuerySpec) -> dict:
-    return {
-        "query_id": q.query_id,
-        "intent": q.intent,
-        "text": q.text,
-        "gold_chunk_ids": sorted(q.gold_chunk_ids),
-        "gold_doc_id": q.gold_doc_id,
-    }
+def _record(obj: Fact | Section | Document | QuerySpec) -> dict:
+    """*obj*'s record: its fields in ``_FIELDS`` order, a set sorted and nested records written in turn."""
+    rec = {}
+    for name, kind in _FIELDS[type(obj)]:
+        value = getattr(obj, name)
+        rec[name] = sorted(value) if kind is set else [*map(_record, value)] if kind in _FIELDS else value
+    return rec
 
 
 def corpus_records(documents: Iterable[Document], queries: Iterable[QuerySpec]) -> list[dict]:
     """The corpus file's records: one per document, then the query block."""
-    return [*map(_doc_record, documents), {"type": "queries", "queries": [_query_record(q) for q in queries]}]
+    docs = [{"type": "document", **_record(doc)} for doc in documents]
+    return [*docs, {"type": "queries", "queries": [*map(_record, queries)]}]
 
 
 def serialize_corpus(
@@ -450,41 +429,27 @@ def serialize_corpus(
     write_jsonl(path, corpus_records(documents, queries), header)
 
 
+def _build(cls: type, rec: dict):
+    """A *cls* from its record; a field not of its JSON kind in ``_FIELDS`` is a ValueError naming the field."""
+    values = []
+    for name, kind in _FIELDS[cls]:
+        if kind in _FIELDS:
+            values.append([_build(kind, item) for item in rec[name]])
+        elif kind is list or kind is set:
+            values.append(string_list(rec, name) if kind is list else set(string_list(rec, name)))
+        elif type(rec[name]) is kind:  # a bool is no integer
+            values.append(rec[name])
+        else:
+            raise ValueError(f"{name}: expected a JSON {'string' if kind is str else 'integer'}")
+    return cls(*values)
+
+
 def _from_record(rec: dict) -> Document | list[QuerySpec]:
     kind = rec.get("type")
     if kind == "document":
-        return Document(
-            doc_id=rec["doc_id"],
-            typology=rec["typology"],
-            title=string_list(rec, "title"),
-            sections=[
-                Section(
-                    heading_path=string_list(s, "heading_path"),
-                    body=string_list(s, "body"),
-                    facts=[
-                        Fact(
-                            fact_id=f["fact_id"],
-                            key_phrase=string_list(f, "key_phrase"),
-                            statement=string_list(f, "statement"),
-                            home_section=int(f["home_section"]),
-                        )
-                        for f in s["facts"]
-                    ],
-                )
-                for s in rec["sections"]
-            ],
-        )
+        return _build(Document, rec)
     if kind == "queries":
-        return [
-            QuerySpec(
-                query_id=q["query_id"],
-                intent=q["intent"],
-                text=string_list(q, "text"),
-                gold_chunk_ids=set(string_list(q, "gold_chunk_ids")),
-                gold_doc_id=q["gold_doc_id"],
-            )
-            for q in rec["queries"]
-        ]
+        return [_build(QuerySpec, q) for q in rec["queries"]]
     raise ValueError(f"unknown record type {kind!r}")
 
 

@@ -314,11 +314,11 @@ def load_index(path: str | Path) -> VectorIndex:
         raise IndexFormatError(f"{path}: truncated header")
     _, dim, count, hash_seed = _HEADER.unpack_from(data, 4)
     offset = 4 + _HEADER.size
-    # Each entry takes at least 8 id-table and 4 * dim vector bytes: bound the loop.
-    if count * (8 + 4 * dim) > len(data) - offset:
+    # Each entry takes at least 8 id-table bytes: a larger count is a cut table, and the reads stay within the file.
+    if count * 8 > len(data) - offset:
         raise IndexFormatError(f"{path}: truncated id table")
     chunk_ids, doc_ids, sections, offset = _id_columns(data, offset, count) or _walk(path, data, offset, count)
-    # A file cut inside the vectors fails this check; one cut inside the id table failed above.
+    # The id table is whole: a file cut inside the vectors, or longer than them, fails this check.
     expected = offset + count * dim * 4
     if len(data) != expected:
         raise IndexFormatError(f"{path}: expected {expected} bytes, found {len(data)}")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -115,6 +116,22 @@ def test_pipeline_stages_compose(tmp_path, capsys):
     top = out_lines[0].split("\t")
     assert top[1] == expected[0].chunk_id
     assert float(top[4]) == pytest.approx(expected[0].score, abs=1e-6)
+
+
+def test_cli_chain_files_keep_their_bytes(tmp_path):
+    # The sha256 of each file the chain writes; a reordered field or a changed draw shows here.
+    expected = {
+        "corpus.jsonl": "6eac9df3a6e0f18cb7e3a28f837db8027f26a40809e2daed1ad56f4c9cfc5ca9",
+        "chunks.jsonl": "21192a51e16831e8e51be9b9f75a522eb02af762382deb8f2da0ee2b459b1f9a",
+        "enriched.jsonl": "2aeec37a415ff738c59b9082de417ea55381e9e17f12d4065efd5a4291c652d3",
+        "vectors.cirx": "320256f074e755916e7d8cb6d345f54f24ea5514e7bebef9b4fa4d680c2196d6",
+    }
+    corpus, chunks, enriched, vectors = (str(tmp_path / name) for name in expected)
+    assert main(["gen", "--seed", "7", "--docs", "6", "--queries", "24", "--out", corpus]) == EXIT_OK
+    assert main(["chunk", "--corpus", corpus, "--out", chunks]) == EXIT_OK
+    assert main(["inject", "--corpus", corpus, "--chunks", chunks, "--strategy", "ddai", "--out", enriched]) == EXIT_OK
+    assert main(["embed", "--enriched", enriched, "--out", vectors]) == EXIT_OK
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected} == expected
 
 
 def test_query_takes_hash_seed_from_index(tmp_path, capsys):

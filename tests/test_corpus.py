@@ -12,16 +12,22 @@ from cirbench import (
     generate_corpus,
     serialize_corpus,
 )
+from cirbench.chunking import MIN_CHUNK_TARGET
 from cirbench.corpus import (
     _CONSONANTS,
     _SECTION_FILLER_SHARE,
+    _SECTIONS_PER_DOC,
+    _VOCAB_TOPIC_SIZE,
     _VOWELS,
     SPECIFIC,
     THEMATIC,
+    THEMES_PER_DOC,
+    THEMES_PER_WINDOW,
     TYPOLOGIES,
     _filler,
     _shuffle,
     _word,
+    split_doc_count,
 )
 from cirbench.errors import ConfigError
 
@@ -180,6 +186,21 @@ def test_config_validation_names_field():
         CorpusConfig(doc_counts={"normative": 3, "technical": -1, "transactional": 2}).validate()
     with pytest.raises(ConfigError, match="query_count"):
         CorpusConfig(query_count=-1).validate()
+
+
+def test_the_fixed_shape_gives_every_section_words_and_a_fact():
+    # The generator relies on these without a guard: each section's slice of
+    # the topic pool holds at least two words, every key statement repeats its
+    # phrase at least once, and the first fact of a section fits a full window.
+    assert (_VOCAB_TOPIC_SIZE - THEMES_PER_DOC) // _SECTIONS_PER_DOC[1] >= 2
+    assert (MIN_CHUNK_TARGET - THEMES_PER_WINDOW - 6) // 4 >= 1
+    for seed in range(1, 6):
+        docs, queries = generate_corpus(
+            CorpusConfig(seed=seed, doc_counts=split_doc_count(6), chunk_token_target=MIN_CHUNK_TARGET, query_count=30)
+        )
+        assert all(section.facts for doc in docs for section in doc.sections)
+        chunk_ids = {c.chunk_id for doc in docs for c in chunk_document(doc, MIN_CHUNK_TARGET)}
+        assert all(q.gold_chunk_ids <= chunk_ids for q in queries)
 
 
 def _filler_by_random(rng, count, typology, section_words, field_words, shared):

@@ -8,8 +8,9 @@ import stat
 import pytest
 
 from cirbench import build_context, chunk_document, enrich, serialize_corpus, strategy
-from cirbench._io import atomic_write_bytes
+from cirbench._io import atomic_write_bytes, write_jsonl
 from cirbench.chunking import read_chunks, write_chunks
+from cirbench.cli import EXIT_FORMAT, main
 from cirbench.corpus import deserialize_corpus
 from cirbench.errors import CorpusFormatError
 from cirbench.evaluation import MetricRow, SweepReport, emit_report, parse_report_jsonl, sweep_flags
@@ -109,6 +110,28 @@ def test_atomic_write_failure_leaves_no_temp_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
+def _records_then_failure():
+    yield {"type": "chunk"}
+    raise RuntimeError("the records ran out")
+
+
+@pytest.mark.parametrize(
+    "write, error",
+    [
+        (lambda path: write_jsonl(path, _records_then_failure()), RuntimeError),
+        (lambda path: atomic_write_bytes(path, "not bytes"), TypeError),
+    ],
+    ids=["records that raise", "a value that is not bytes"],
+)
+def test_a_failed_write_over_a_file_keeps_its_old_bytes_and_leaves_no_temp_file(tmp_path, write, error):
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises(error):
+        write(path)
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
 def test_atomic_write_leaves_the_process_umask_alone(tmp_path, monkeypatch):
     umask = os.umask(0o027)
     try:
@@ -188,3 +211,32 @@ def test_a_field_that_is_not_an_array_of_strings_names_its_line_and_field(tmp_pa
     message = f"{path}: line {lineno}: bad record (ValueError: {field}: expected a JSON array of strings)"
     with pytest.raises(CorpusFormatError, match=re.escape(message)):
         _READERS[kind](path)
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("doc_id", 5, "string"),
+        ("typology", ["normative"], "string"),
+        ("home_section", "0", "integer"),
+        ("home_section", False, "integer"),
+        ("query_id", None, "string"),  # in the query block
+    ],
+)
+def test_a_corpus_field_of_the_wrong_json_type_fails_chunk_naming_its_line_and_field(
+    tmp_path, capsys, small_corpus, field, value, kind
+):
+    path = tmp_path / "corpus.jsonl"
+    _write("corpus", path, small_corpus)
+    lines = path.read_text().splitlines()
+    lineno = 0
+    for lineno, line in enumerate(lines[1:], start=2):  # after the run_config line
+        rec = json.loads(line)
+        if _replace_first(rec, field, value):
+            lines[lineno - 1] = json.dumps(rec)
+            break
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["chunk", "--corpus", str(path), "--out", str(tmp_path / "chunks.jsonl")]) == EXIT_FORMAT
+    message = f"{path}: line {lineno}: bad record (ValueError: {field}: expected a JSON {kind})"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "chunks.jsonl").exists()

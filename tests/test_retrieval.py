@@ -222,6 +222,29 @@ def test_count_beyond_file_size_is_truncation(tmp_path):
         load_index(path)
 
 
+def test_a_file_whose_vectors_are_cut_names_the_vectors_not_the_id_table(tmp_path):
+    rng = np.random.default_rng(18)
+    path = tmp_path / "vectors.cirx"
+    save_index(build_index(_entries(rng, 20, 16), hash_seed=1), path)
+    data = path.read_bytes()
+    vectors_at = len(data) - 20 * 16 * 4
+    for cut in (vectors_at, vectors_at + 100, len(data) - 1):
+        path.write_bytes(data[:cut])
+        with pytest.raises(IndexFormatError, match=f"expected {len(data)} bytes, found {cut}$"):
+            load_index(path)
+
+
+def test_a_file_with_a_valid_version_that_ends_inside_the_header_is_a_truncated_header(tmp_path):
+    rng = np.random.default_rng(19)
+    path = tmp_path / "vectors.cirx"
+    save_index(build_index(_entries(rng, 3, 8), hash_seed=1), path)
+    data = path.read_bytes()
+    for cut in (6, 25):  # after the version, short of the 26-byte header
+        path.write_bytes(data[:cut])
+        with pytest.raises(IndexFormatError, match="truncated header"):
+            load_index(path)
+
+
 def test_index_holds_float32_values_as_one_float64_matrix():
     rng = np.random.default_rng(18)
     entries = _entries(rng, 50, 16)
@@ -482,7 +505,7 @@ def _walked(path) -> tuple[list[str], list[str], list[int], bytes] | str:
     """What load_index must give for *path*: the entry-by-entry walk's columns and vector bytes, or the defect's message."""
     data = path.read_bytes()
     dim, count, hash_seed = struct.unpack_from("<IQQ", data, 6)
-    if count * (8 + 4 * dim) > len(data) - 26:  # load_index's bound: too short for even the smallest entries
+    if count * 8 > len(data) - 26:  # load_index's bound: too short for even the smallest id table
         return f"{path}: truncated id table"
     try:
         chunk_ids, doc_ids, sections = _load_entry_by_entry(path)
