@@ -130,19 +130,37 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T], unique: str | None 
     return out
 
 
-def string_list(rec: dict, key: str) -> list[str]:
-    """``rec[key]``, which must be a JSON array of strings; anything else is a ValueError naming *key*.
+# The JSON types json_field checks, each named as its error message names it.
+_KINDS = {
+    str: "string", int: "integer", float: "number", bool: "boolean",
+    list[str]: "array of strings", list[dict]: "array of objects",
+}
 
-    A string is refused too, rather than split into its characters.
+
+def json_field(rec: dict, key: str, kind, nullable: bool = False):
+    """``rec[key]`` if it has the JSON type *kind*, a key of ``_KINDS``; else a ValueError naming *key*.
+
+    Null reads as None only if *nullable*. Types are checked, never
+    coerced: a bool is no integer or number, and a string is no array,
+    rather than split into its characters. A number (``float``) is an int
+    or a float and reads as a float.
     """
     value = rec[key]
+    if value is None and nullable:
+        return None
     try:
-        if type(value) is list:
+        if type(value) is kind:
+            return value
+        if kind is float and type(value) is int:
+            return float(value)  # an OverflowError past the float range
+        if type(value) is list and kind == list[str]:
             "".join(value)  # a TypeError at the first item that is not a string
             return list(value)  # sized to its items: the parsed list keeps its growth slack
-    except TypeError:
+        if type(value) is list and kind == list[dict] and all(type(item) is dict for item in value):
+            return value
+    except (TypeError, OverflowError):
         pass
-    raise ValueError(f"{key}: expected a JSON array of strings")
+    raise ValueError(f"{key}: expected a JSON {_KINDS[kind]}{' or null' if nullable else ''}")
 
 
 def read_run_config(path: str | Path) -> dict:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
-from ._io import read_jsonl, string_list, write_jsonl
+from ._io import json_field, read_jsonl, write_jsonl
 from .errors import ConfigError
 
 if TYPE_CHECKING:
@@ -104,8 +104,8 @@ def _chunk_from_record(rec: dict) -> Chunk:
         chunk_id=rec["chunk_id"],
         doc_id=doc_id,
         section_index=section_index,
-        heading_path=string_list(rec, "heading_path"),
-        tokens=string_list(rec, "tokens"),
+        heading_path=json_field(rec, "heading_path", list[str]),
+        tokens=json_field(rec, "tokens", list[str]),
     )
 
 

@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from ._hash import fork_seed
-from ._io import check_target, read_run_config
+from ._io import check_target, json_field, read_run_config
 from .chunking import chunk_document, read_chunks, tokenize, write_chunks
 from .corpus import CorpusConfig, deserialize_corpus, generate_corpus, serialize_corpus, split_doc_count
 from .embedding import EmbedderConfig, get_embedder
@@ -88,13 +88,14 @@ def _load_config_file(path: str) -> dict:
 
 def _inherit(resolved: dict, path: str) -> None:
     """Layer the ``run_config`` header of the input file *path* over *resolved*."""
-    for key, value in read_run_config(path).items():
+    header = read_run_config(path)
+    for key in header:
         if key not in _FIELDS:
             raise FormatError(f"{path}: run_config: unknown key {key!r}")
-        kind = _FIELDS[key][0]
-        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-            raise FormatError(f"{path}: run_config: {key} must be {kind.__name__}, got {value!r}")
-        resolved[key] = kind(value)
+        try:
+            resolved[key] = json_field(header, key, _FIELDS[key][0])
+        except ValueError as exc:
+            raise FormatError(f"{path}: run_config: {exc}, got {header[key]!r}") from exc
 
 
 def _resolve(args: argparse.Namespace, inherit_from: str | None = None) -> dict:

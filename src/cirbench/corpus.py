@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Iterable
 
 from ._hash import fork_seed
-from ._io import read_jsonl, string_list, write_jsonl
+from ._io import json_field, read_jsonl, write_jsonl
 from .chunking import MIN_CHUNK_TARGET, make_chunk_id
 from .errors import ConfigError, CorpusFormatError
 
@@ -138,12 +138,14 @@ class QuerySpec:
 
 
 # The corpus file's fields in file order, each with its JSON kind: a string, an integer, an array of
-# strings (list), one written sorted (set), or an array of a dataclass's records. _record and _build use it.
-_FIELDS: dict[type, tuple[tuple[str, type], ...]] = {
-    Fact: (("fact_id", str), ("key_phrase", list), ("statement", list), ("home_section", int)),
-    Section: (("heading_path", list), ("body", list), ("facts", Fact)),
-    Document: (("doc_id", str), ("typology", str), ("title", list), ("sections", Section)),
-    QuerySpec: (("query_id", str), ("intent", str), ("text", list), ("gold_chunk_ids", set), ("gold_doc_id", str)),
+# strings (list[str]), one written sorted (set), or an array of a dataclass's records. _record and _build use it.
+_FIELDS: dict[type, tuple[tuple[str, object], ...]] = {
+    Fact: (("fact_id", str), ("key_phrase", list[str]), ("statement", list[str]), ("home_section", int)),
+    Section: (("heading_path", list[str]), ("body", list[str]), ("facts", Fact)),
+    Document: (("doc_id", str), ("typology", str), ("title", list[str]), ("sections", Section)),
+    QuerySpec: (
+        ("query_id", str), ("intent", str), ("text", list[str]), ("gold_chunk_ids", set), ("gold_doc_id", str)
+    ),
 }
 
 
@@ -434,13 +436,9 @@ def _build(cls: type, rec: dict):
     values = []
     for name, kind in _FIELDS[cls]:
         if kind in _FIELDS:
-            values.append([_build(kind, item) for item in rec[name]])
-        elif kind is list or kind is set:
-            values.append(string_list(rec, name) if kind is list else set(string_list(rec, name)))
-        elif type(rec[name]) is kind:  # a bool is no integer
-            values.append(rec[name])
+            values.append([_build(kind, item) for item in json_field(rec, name, list[dict])])
         else:
-            raise ValueError(f"{name}: expected a JSON {'string' if kind is str else 'integer'}")
+            values.append(set(json_field(rec, name, list[str])) if kind is set else json_field(rec, name, kind))
     return cls(*values)
 
 
@@ -449,7 +447,7 @@ def _from_record(rec: dict) -> Document | list[QuerySpec]:
     if kind == "document":
         return _build(Document, rec)
     if kind == "queries":
-        return [_build(QuerySpec, q) for q in rec["queries"]]
+        return [_build(QuerySpec, q) for q in json_field(rec, "queries", list[dict])]
     raise ValueError(f"unknown record type {kind!r}")
 
 

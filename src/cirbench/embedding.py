@@ -9,10 +9,10 @@ component means with weight ``L_I / (L_I + L_c)`` on the context side.
 ``dilution_curve`` is the one function that forms that normalized mix: it
 gives a query's similarity to it along a grid of weights in [0, 1].
 An ``Embedder`` holds one token table (a dict from token to row, plus
-``(rows, 4)`` arrays of int32 component indices and int8 signs) and pools
-a text by summing its tokens' rows with a single ``np.bincount``;
-``sum_many`` pools a batch of texts with one, and ``embed_many``
-normalizes its rows.
+``(rows, 4)`` arrays of int32 component indices and int8 signs).
+``sum_many`` pools each text by summing its tokens' rows with one
+``np.bincount`` of its own; ``mean_vector`` is its one-text case, and
+``embed_many`` normalizes its rows.
 
 Tokens are registered in bulk: the new tokens of one call are hashed by
 numpy kernels over ``uint64`` arrays (``_hash.fnv1a64_many``,
@@ -50,8 +50,7 @@ NONZEROS_PER_TOKEN = 4
 # A registration of fewer new tokens hashes them one by one: a numpy pass
 # costs about as much as hashing this many tokens in Python.
 BULK_HASH_MIN = 32
-# The most tokens sum_many pools with one bincount, and register hashes with one
-# numpy pass; bounds their temporaries.
+# The most new tokens register hashes with one numpy pass; bounds its temporaries.
 POOL_TOKENS = 1 << 14
 
 _IDX_SALT = 0xA5C35A3C96E7D1B5
@@ -154,9 +153,7 @@ class Embedder:
         """Pre-normalization mean of the token vectors."""
         if not tokens:
             raise EmbeddingError("cannot embed an empty token sequence")
-        self.register(tokens)
-        rows = np.fromiter(map(self._row.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-        return np.bincount(self._idx[rows].ravel(), self._sign[rows].ravel(), minlength=self.config.dim) / len(tokens)
+        return self.sum_many([tokens])[0] / len(tokens)
 
     def embed(self, tokens: list[str]) -> np.ndarray:
         """L2-normalized mean of the token vectors; order-insensitive."""
@@ -165,28 +162,16 @@ class Embedder:
     def sum_many(self, token_lists: Sequence[list[str]]) -> np.ndarray:
         """The sum of each list's token vectors, one row each; an empty list sums to a zero row.
 
-        The lists' new tokens are registered at once, and a batch of lists
-        of at most ``POOL_TOKENS`` tokens in all (or one longer list) is
-        pooled by one ``np.bincount``. Every component is an integer, so a
-        row is exact in any order, and sums of rows equal the sum over the
-        concatenated lists bit for bit.
+        The lists' new tokens are registered at once, and each list is
+        pooled by one ``np.bincount`` of its own rows. Every component is
+        an integer, so a row is exact in any order, and sums of rows equal
+        the sum over the concatenated lists bit for bit.
         """
-        dim = self.config.dim
         self.register(chain.from_iterable(token_lists))
-        lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        out = np.empty((len(token_lists), dim))
-        lo = 0
-        while lo < len(token_lists):
-            hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + POOL_TOKENS, side="right")))
-            tokens = chain.from_iterable(token_lists[lo:hi])
-            rows = np.fromiter(map(self._row.__getitem__, tokens), np.intp, count=int(ends[hi - 1] - starts[lo]))
-            text = np.repeat(np.arange(hi - lo), lengths[lo:hi])
-            out[lo:hi] = np.bincount(
-                (text[:, None] * dim + self._idx[rows]).ravel(), self._sign[rows].ravel(), minlength=(hi - lo) * dim
-            ).reshape(hi - lo, dim)
-            lo = hi
+        out = np.empty((len(token_lists), self.config.dim))
+        for row, tokens in zip(out, token_lists):
+            rows = np.fromiter(map(self._row.__getitem__, tokens), np.intp, count=len(tokens))
+            row[:] = np.bincount(self._idx[rows].ravel(), self._sign[rows].ravel(), minlength=self.config.dim)
         return out
 
     def embed_many(self, token_lists: list[list[str]]) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from ._io import atomic_write_text, read_jsonl, write_jsonl
+from ._io import atomic_write_text, json_field, read_jsonl, write_jsonl
 from .chunking import Chunk, chunk_document, parse_chunk_id
 from .corpus import SPECIFIC, THEMATIC, CorpusConfig, Document, QuerySpec, corpus_records
 from .embedding import EmbedderConfig, get_embedder
@@ -296,21 +296,18 @@ def _report_records(report: SweepReport) -> list[dict]:
     ]
 
 
-def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
-
-
 def _from_record(rec: dict) -> str | MetricRow | SweepFlags:
     kind = rec.get("type")
     if kind == "sweep":
-        return str(rec["config_digest"])
+        return json_field(rec, "config_digest", str)
     if kind == "row":
-        strategy, *measures, share = (rec[column] for column in _COLUMNS)
-        if strategy not in STRATEGY_KINDS:  # it names a plotdata file, so it must be one of these
-            raise ValueError(f"unknown strategy {strategy!r}")
-        return MetricRow(strategy, *map(float, measures), _optional_float(share))
+        if rec["strategy"] not in STRATEGY_KINDS:  # it names a plotdata file, so it must be one of these
+            raise ValueError(f"unknown strategy {rec['strategy']!r}")
+        _, *measures, share = _COLUMNS
+        floats = [json_field(rec, column, float) for column in measures]
+        return MetricRow(rec["strategy"], *floats, json_field(rec, share, float, nullable=True))
     if kind == "flags":
-        return SweepFlags(bool(rec["inverted_u"]), _optional_float(rec["curve_cross_cir"]))
+        return SweepFlags(json_field(rec, "inverted_u", bool), json_field(rec, "curve_cross_cir", float, nullable=True))
     raise ValueError(f"unknown record type {kind!r}")
 
 
@@ -318,8 +315,10 @@ def parse_report_jsonl(path: str | Path) -> SweepReport:
     """Read a sweep.jsonl: one sweep record, the rows, and one flags record equal to ``sweep_flags`` of the rows.
 
     A missing or repeated sweep or flags record, a row whose strategy is not
-    one of ``STRATEGY_KINDS`` or repeats another row's, or flags that
-    disagree with the rows, is a CorpusFormatError naming *path*.
+    one of ``STRATEGY_KINDS`` or repeats another row's, a field not of its
+    JSON type (a number, null only for ``wrong_section_share`` and
+    ``curve_cross_cir``; a string digest; a boolean ``inverted_u``), or
+    flags that disagree with the rows, is a CorpusFormatError naming *path*.
     """
     records = read_jsonl(path, _from_record, unique="strategy")
     digests = [r for r in records if isinstance(r, str)]

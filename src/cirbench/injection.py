@@ -29,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._io import read_jsonl, string_list, write_jsonl
+from ._io import json_field, read_jsonl, write_jsonl
 from .chunking import Chunk, parse_chunk_id
 from .corpus import Document
 from .embedding import Embedder, EmbedderConfig, get_embedder, unit
@@ -304,16 +304,23 @@ def write_enriched(
 
 def _enriched_from_record(rec: dict) -> dict:
     doc_id, section_index, _ = parse_chunk_id(rec["chunk_id"])
+    if rec["strategy"] not in STRATEGY_KINDS:
+        raise ValueError(f"unknown strategy {rec['strategy']!r}")
     return {
         "chunk_id": rec["chunk_id"],
         "doc_id": doc_id,
         "section_index": section_index,
         "strategy": rec["strategy"],
-        "cir": float(rec["cir"]),
-        "tokens": string_list(rec, "tokens"),
+        "cir": json_field(rec, "cir", float),
+        "tokens": json_field(rec, "tokens", list[str]),
     }
 
 
 def read_enriched(path: str | Path) -> list[dict]:
-    """Read an enriched dump; returns raw records with parsed chunk ids."""
+    """Read an enriched dump; returns raw records with parsed chunk ids.
+
+    A strategy that is not one of ``STRATEGY_KINDS``, a cir that is not a
+    JSON number, or tokens that are not an array of strings is a
+    CorpusFormatError naming the line.
+    """
     return read_jsonl(path, _enriched_from_record, unique="chunk_id")

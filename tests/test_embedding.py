@@ -403,6 +403,24 @@ def test_registration_memory_is_bounded_by_a_slice_not_by_the_new_token_count():
     assert peak - kept < 128 * POOL_TOKENS
 
 
+def test_sum_many_peak_memory_is_one_lists_temporaries_not_the_whole_batch():
+    rng = random.Random(31)
+    vocabulary = _random_words(rng, 5000)
+    lists = [rng.choices(vocabulary, k=rng.randint(1, 3000)) for _ in range(199)]
+    lists.insert(77, rng.choices(vocabulary, k=POOL_TOKENS + 777))
+    emb = Embedder(CFG)
+    emb.register(vocabulary)
+    tracemalloc.start()
+    try:
+        out = emb.sum_many(lists)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Pooling one list holds about 90 bytes per token: its rows, their index and sign copies, and
+    # bincount's intp and float64 casts. Pooling all ~290,000 tokens at once would hold over ten times this bound.
+    assert peak - out.nbytes < 120 * max(map(len, lists))
+
+
 def test_dim_beyond_the_int32_token_table_is_refused():
     assert EmbedderConfig(dim=1 << 31).dim == 1 << 31
     with pytest.raises(ConfigError, match="dim"):

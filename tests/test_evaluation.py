@@ -13,12 +13,14 @@ import pytest
 
 from cirbench import (
     CorpusConfig,
+    Embedder,
     EmbedderConfig,
     MetricRow,
     QuerySpec,
     SweepFlags,
     SweepReport,
     all_strategies,
+    dilution_curve,
     emit_report,
     generate_corpus,
     homogenization,
@@ -30,7 +32,8 @@ from cirbench import (
     wrong_section_share,
 )
 from cirbench.corpus import SPECIFIC, THEMATIC
-from cirbench.errors import ConfigError
+from cirbench.embedding import unit
+from cirbench.errors import ConfigError, EmbeddingError
 from cirbench.evaluation import CSV_HEADER, parse_report_jsonl, report_csv
 from cirbench.retrieval import Hit
 
@@ -364,3 +367,19 @@ def test_sweeps_sharing_a_dim_each_match_a_fresh_process(small_config, small_cor
         assert fresh.returncode == 0, fresh.stderr
         assert got == fresh.stdout
     assert in_process[0] != in_process[1]
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: Embedder(EmbedderConfig()).token_vector(""), EmbeddingError, "empty token"),
+        (lambda: unit(np.zeros(8)), EmbeddingError, "zero embedding"),
+        (lambda: dilution_curve(np.ones(8), np.ones(8), -np.ones(8), grid_points=2), ValueError, "grid_points"),
+        (lambda: ndcg_at_k(_hits(["a"]), {"a"}, k=0), ValueError, "k must be >= 1"),
+        (lambda: recall_at_k(_hits(["a"]), _specific("a"), k=0), ValueError, "k must be >= 1"),
+    ],
+    ids=["an empty token", "unit of a zero vector", "a two-point grid", "ndcg at k=0", "recall at k=0"],
+)
+def test_a_degenerate_argument_raises(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -13,7 +13,7 @@ from cirbench.chunking import read_chunks, write_chunks
 from cirbench.cli import EXIT_FORMAT, main
 from cirbench.corpus import deserialize_corpus
 from cirbench.errors import CorpusFormatError
-from cirbench.evaluation import MetricRow, SweepReport, emit_report, parse_report_jsonl, sweep_flags
+from cirbench.evaluation import MetricRow, SweepFlags, SweepReport, emit_report, parse_report_jsonl, sweep_flags
 from cirbench.injection import read_enriched, write_enriched
 
 KINDS = ["corpus", "chunks", "enriched", "report"]
@@ -240,3 +240,74 @@ def test_a_corpus_field_of_the_wrong_json_type_fails_chunk_naming_its_line_and_f
     message = f"{path}: line {lineno}: bad record (ValueError: {field}: expected a JSON {kind})"
     assert message in capsys.readouterr().err
     assert not (tmp_path / "chunks.jsonl").exists()
+
+
+def _replace_in_file(path, field: str, value) -> int:
+    """Set the first *field* of the JSONL file *path*, after its run_config line, to *value*; its line number."""
+    lines = path.read_text().splitlines()
+    for lineno, line in enumerate(lines[1:], start=2):
+        rec = json.loads(line)
+        if _replace_first(rec, field, value):
+            lines[lineno - 1] = json.dumps(rec)
+            path.write_text("\n".join(lines) + "\n")
+            return lineno
+    raise AssertionError(f"no {field} in {path}")
+
+
+@pytest.mark.parametrize("value", [{}, "", [1], [["a"]]], ids=["an object", "a string", "numbers", "arrays"])
+@pytest.mark.parametrize("field", ["sections", "facts", "queries"])
+def test_a_corpus_field_that_is_not_an_array_of_objects_fails_chunk_naming_its_line_and_field(
+    tmp_path, capsys, small_corpus, field, value
+):
+    path = tmp_path / "corpus.jsonl"
+    _write("corpus", path, small_corpus)
+    lineno = _replace_in_file(path, field, value)
+    assert main(["chunk", "--corpus", str(path), "--out", str(tmp_path / "chunks.jsonl")]) == EXIT_FORMAT
+    message = f"{path}: line {lineno}: bad record (ValueError: {field}: expected a JSON array of objects)"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "chunks.jsonl").exists()
+
+
+def _three_row_report(path) -> None:
+    """A sweep.jsonl whose rows give an inverted U and a crossing at mean ratio 0.6."""
+    rows = [
+        MetricRow("baseline", 0.0, 0.3, 0.8, 0.4, 0.1, None),
+        MetricRow("medium", 0.3, 0.5, 0.6, 0.5, 0.4, 0.2),
+        MetricRow("high", 0.6, 0.4, 0.3, 0.9, 0.7, 0.5),
+    ]
+    assert sweep_flags(rows) == SweepFlags(True, 0.6)
+    (written,) = emit_report(SweepReport("cafe01234567", rows, sweep_flags(rows)), "jsonl", path.parent, {"seed": 7})
+    os.replace(written, path)
+
+
+@pytest.mark.parametrize(
+    "kind, field, value, message",
+    [
+        ("enriched", "cir", "0.3", "cir: expected a JSON number"),
+        ("enriched", "cir", True, "cir: expected a JSON number"),
+        ("enriched", "strategy", 5, "unknown strategy 5"),
+        ("enriched", "strategy", "nonsense", "unknown strategy 'nonsense'"),
+        ("report", "ndcg10", "0.5", "ndcg10: expected a JSON number"),
+        ("report", "homogenization", True, "homogenization: expected a JSON number"),
+        ("report", "wrong_section_share", "0.5", "wrong_section_share: expected a JSON number or null"),
+        ("report", "config_digest", 5, "config_digest: expected a JSON string"),
+        ("report", "inverted_u", "yes", "inverted_u: expected a JSON boolean"),
+        ("report", "curve_cross_cir", "0.6", "curve_cross_cir: expected a JSON number or null"),
+    ],
+)
+def test_an_enriched_or_report_field_of_the_wrong_json_type_fails_naming_its_line_and_field(
+    tmp_path, capsys, small_corpus, kind, field, value, message
+):
+    path, out = tmp_path / f"{kind}.jsonl", tmp_path / "out"
+    if kind == "enriched":
+        _write(kind, path, small_corpus)
+    else:
+        _three_row_report(path)
+    lineno = _replace_in_file(path, field, value)
+    argv = {
+        "enriched": ["embed", "--enriched", str(path), "--out", str(out)],
+        "report": ["report", "--sweep", str(path), "--format", "csv", "--out-dir", str(out)],
+    }[kind]
+    assert main(argv) == EXIT_FORMAT
+    assert f"{path}: line {lineno}: bad record (ValueError: {message})" in capsys.readouterr().err
+    assert not out.exists()
