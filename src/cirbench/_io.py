@@ -1,9 +1,11 @@
 """Artifact I/O: atomic file writes and the one JSON Lines codec.
 
 Every JSONL artifact (corpus, chunks, enriched chunks, sweep report) is
-framed here: an optional leading ``run_config`` record that carries the
-resolved configuration, then one JSON object per line. The modules that
-own an artifact supply only the mapping between a record and an object.
+framed here: an optional ``run_config`` record on the first line that
+carries the resolved configuration, then one JSON object per line. The
+JSON is strict both ways: no writer emits ``NaN``, ``Infinity`` or
+``-Infinity``, and every reader refuses them. The modules that own an
+artifact supply only the mapping between a record and an object.
 """
 
 from __future__ import annotations
@@ -13,11 +15,21 @@ import itertools
 import json
 import os
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TypeVar
 
 from .errors import CorpusFormatError, OutputPathError
 
 T = TypeVar("T")
+
+
+def _refuse_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not JSON")
+
+
+# Python's json reads and writes NaN, Infinity and -Infinity by default;
+# these two refuse them, so what one stage writes the next can read.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 def check_target(path: str | Path) -> Path:
@@ -77,13 +89,14 @@ def write_jsonl(path: str | Path, records: Iterable[dict], header: dict | None =
     """Write one JSON object per line, led by a ``run_config`` record when *header* is given.
 
     Records are encoded and written one at a time, through ``_atomic_file``.
+    A float that is not finite raises ValueError, and nothing is written.
     """
     if header is not None:
         records = itertools.chain([{"type": "run_config", **header}], records)
     with _atomic_file(path) as handle:
         separator = b""
         for rec in records:
-            handle.write(separator + json.dumps(rec).encode("utf-8"))
+            handle.write(separator + _ENCODER.encode(rec).encode("utf-8"))
             separator = b"\n"
         handle.write(b"\n")
 
@@ -103,22 +116,25 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
 def read_jsonl(path: str | Path, parse: Callable[[dict], T], unique: str | None = None) -> list[T]:
     """Map every record of a JSONL file through *parse*, in file order.
 
-    Blank lines and the ``run_config`` record are skipped. Bytes that are
-    not UTF-8, bad JSON, a line that is not an object, a record that
-    *parse* rejects with KeyError, TypeError or ValueError, and a record
-    whose *unique* field repeats an earlier record's all raise
-    CorpusFormatError naming the path and the line number.
+    Blank lines and a ``run_config`` record on the first non-blank line are
+    skipped. Bytes that are not UTF-8, bad JSON (``NaN`` and ``Infinity``
+    included), a line that is not an object, a ``run_config`` record on a
+    later line, a record that *parse* rejects with KeyError, TypeError or
+    ValueError, and a record whose *unique* field repeats an earlier
+    record's all raise CorpusFormatError naming the path and the line number.
     """
     out: list[T] = []
     first_line: dict = {}
-    for lineno, line in _lines(path):
+    for position, (lineno, line) in enumerate(_lines(path)):
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"{path}: line {lineno}: {exc.msg}") from exc
+            rec = _DECODER.decode(line)
+        except ValueError as exc:  # a JSONDecodeError, or a constant _refuse_constant refused
+            raise CorpusFormatError(f"{path}: line {lineno}: {getattr(exc, 'msg', exc)}") from exc
         if not isinstance(rec, dict):
             raise CorpusFormatError(f"{path}: line {lineno}: expected a JSON object")
         if rec.get("type") == "run_config":
+            if position:
+                raise CorpusFormatError(f"{path}: line {lineno}: a run_config record belongs on the first line")
             continue
         try:
             out.append(parse(rec))
@@ -167,8 +183,8 @@ def read_run_config(path: str | Path) -> dict:
     """The ``run_config`` record leading a JSONL file, without its type; {} when there is none."""
     _, line = next(_lines(path), (0, ""))
     try:
-        rec = json.loads(line)
-    except json.JSONDecodeError:
+        rec = _DECODER.decode(line)
+    except ValueError:
         return {}  # no header; read_jsonl reports bad JSON with its line number
     if not isinstance(rec, dict) or rec.get("type") != "run_config":
         return {}

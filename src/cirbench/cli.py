@@ -69,8 +69,8 @@ def _out_dir(args: argparse.Namespace) -> str:
 
 
 def _load_config_file(path: str) -> dict:
-    """Parse a plain `key = value` config file; '#' starts a comment."""
-    values: dict[str, str] = {}
+    """Parse a plain `key = value` config file, each known key's value to its ``_FIELDS`` type; '#' starts a comment."""
+    values: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -81,21 +81,12 @@ def _load_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise FormatError(f"{path}: line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
-    return values
-
-
-def _inherit(resolved: dict, path: str) -> None:
-    """Layer the ``run_config`` header of the input file *path* over *resolved*."""
-    header = read_run_config(path)
-    for key in header:
-        if key not in _FIELDS:
-            raise FormatError(f"{path}: run_config: unknown key {key!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
         try:
-            resolved[key] = json_field(header, key, _FIELDS[key][0])
+            values[key] = _FIELDS[key][0](value) if key in _FIELDS else value
         except ValueError as exc:
-            raise FormatError(f"{path}: run_config: {exc}, got {header[key]!r}") from exc
+            raise FormatError(f"{path}: line {lineno}: invalid value for {key} ({exc})") from exc
+    return values
 
 
 def _resolve(args: argparse.Namespace, inherit_from: str | None = None) -> dict:
@@ -104,16 +95,17 @@ def _resolve(args: argparse.Namespace, inherit_from: str | None = None) -> dict:
     The result, in ``_FIELDS`` order with one normalized strategies string, is every output's provenance header.
     """
     resolved = {name: default for name, (_, default, _) in _FIELDS.items()}
-    if inherit_from is not None:
-        _inherit(resolved, inherit_from)
+    sources = [] if inherit_from is None else [(f"{inherit_from}: run_config", read_run_config(inherit_from))]
     if getattr(args, "config", None):
-        for key, raw in _load_config_file(args.config).items():
+        sources.append((args.config, _load_config_file(args.config)))
+    for where, values in sources:
+        for key in values:
             if key not in _FIELDS:
-                raise FormatError(f"config file: unknown key {key!r}")
+                raise FormatError(f"{where}: unknown key {key!r}")
             try:
-                resolved[key] = _FIELDS[key][0](raw)
+                resolved[key] = json_field(values, key, _FIELDS[key][0])
             except ValueError as exc:
-                raise FormatError(f"config file: invalid value for {key} ({exc})") from exc
+                raise FormatError(f"{where}: {exc}, got {values[key]!r}") from exc
     for key in _FIELDS:
         flag = getattr(args, key, None)
         if flag is not None:

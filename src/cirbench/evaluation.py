@@ -175,8 +175,9 @@ def evaluate_strategy(
     queries: Sequence[QuerySpec],
     query_vectors: np.ndarray,
     strat: InjectionStrategy,
+    doc_rows: dict[str, list[int]],
 ) -> MetricRow:
-    """Embed, index, and score every query for one strategy."""
+    """Embed, index, and score every query for one strategy; *doc_rows* lists each document's chunk rows."""
     vectors, cirs = sums.vectors(strat)
     entries = [(c.chunk_id, c.doc_id, c.section_index, vectors[i]) for i, c in enumerate(sums.chunks)]
     index = build_index(entries)
@@ -197,12 +198,7 @@ def evaluate_strategy(
         else:
             recall_thematic.append(r)
 
-    by_doc: dict[str, list[int]] = {}
-    for i, chunk in enumerate(sums.chunks):
-        by_doc.setdefault(chunk.doc_id, []).append(i)
-    homog_values = [
-        homogenization(vectors[idxs]) for idxs in by_doc.values() if len(idxs) >= 2
-    ]
+    homog_values = [homogenization(vectors[rows]) for rows in doc_rows.values() if len(rows) >= 2]
 
     return MetricRow(
         strategy=strat.kind,
@@ -241,13 +237,15 @@ def run_sweep(
     for doc in documents:
         chunks.extend(chunk_document(doc, chunk_target))
     chunk_ids = {chunk.chunk_id for chunk in chunks}
-    doc_chunk_ids: dict[str, set[str]] = {}
-    for chunk in chunks:
-        doc_chunk_ids.setdefault(chunk.doc_id, set()).add(chunk.chunk_id)
+    doc_rows: dict[str, list[int]] = {}
+    for i, chunk in enumerate(chunks):
+        doc_rows.setdefault(chunk.doc_id, []).append(i)
     for query in queries:
         # A thematic gold set is its document's chunks, so it also catches a
         # target that divides the corpus's: those gold ids exist, but too few.
-        not_whole_doc = query.intent == THEMATIC and query.gold_chunk_ids != doc_chunk_ids.get(query.gold_doc_id)
+        not_whole_doc = query.intent == THEMATIC and query.gold_chunk_ids != {
+            chunks[i].chunk_id for i in doc_rows.get(query.gold_doc_id, ())
+        }
         if not_whole_doc or not query.gold_chunk_ids <= chunk_ids:
             raise ConfigError(
                 f"chunk_target {chunk_target}: query {query.query_id} names gold chunks other than the ones"
@@ -256,7 +254,7 @@ def run_sweep(
     query_vectors = embedder.embed_many([q.text for q in queries])
     sums = EnrichedSums(chunks, {doc.doc_id: doc for doc in documents}, embedder)
 
-    rows = [evaluate_strategy(sums, queries, query_vectors, strat) for strat in strategies]
+    rows = [evaluate_strategy(sums, queries, query_vectors, strat, doc_rows) for strat in strategies]
     rows.sort(key=lambda r: r.mean_cir)
     digest = _config_digest(documents, queries, strategies, embed_config, chunk_target)
     return SweepReport(config_digest=digest, rows=rows, flags=sweep_flags(rows))

@@ -661,3 +661,47 @@ def test_embed_refuses_an_enriched_chunk_an_index_cannot_hold(tmp_path, capsys, 
     assert main(["embed", "--enriched", str(enriched), "--out", str(vectors)]) == EXIT_FORMAT
     assert capsys.readouterr().err.startswith(f"error: {enriched}: {message}")
     assert list(tmp_path.iterdir()) == [enriched]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("seed = 11\nsedd = 11\n", "unknown key 'sedd'"), ("seed = 11\ndocs = six\n", "line 2: invalid value for docs (")],
+    ids=["an unknown key", "a value that does not convert"],
+)
+def test_config_file_errors_name_the_file(tmp_path, capsys, text, message):
+    cfg, corpus = tmp_path / "run.cfg", tmp_path / "corpus.jsonl"
+    cfg.write_text(text)
+    assert main(["gen", "--config", str(cfg), "--out", str(corpus)]) == EXIT_FORMAT
+    assert f"error: {cfg}: {message}" in capsys.readouterr().err
+    assert not corpus.exists()
+
+
+def test_config_file_lies_over_the_input_header_and_flags_over_both(tmp_path, capsys):
+    corpus, chunks, cfg = tmp_path / "corpus.jsonl", tmp_path / "chunks.jsonl", tmp_path / "run.cfg"
+    assert main(["gen", *SMALL, "--chunk-target", "200", "--out", str(corpus)]) == EXIT_OK
+    cfg.write_text("chunk_target = 120\n")
+    layers = [([], 200), (["--config", str(cfg)], 120), (["--config", str(cfg), "--chunk-target", "90"], 90)]
+    for flags, target in layers:
+        assert main(["chunk", "--corpus", str(corpus), *flags, "--out", str(chunks)]) == EXIT_OK
+        header = read_run_config(chunks)
+        assert (header["seed"], header["docs"], header["chunk_target"]) == (11, 6, target)
+
+    # The header's own errors keep their wording.
+    header, rest = corpus.read_text().split("\n", 1)
+    corpus.write_text(json.dumps({**json.loads(header), "seed": "11"}) + "\n" + rest)
+    capsys.readouterr()
+    assert main(["chunk", "--corpus", str(corpus), "--config", str(cfg), "--out", str(chunks)]) == EXIT_FORMAT
+    assert f"error: {corpus}: run_config: seed: expected a JSON integer, got '11'\n" == capsys.readouterr().err
+
+
+def test_inject_refuses_a_chunks_file_whose_run_config_repeats_after_its_first_line(tmp_path, capsys):
+    corpus, chunks, enriched = (tmp_path / name for name in ("corpus.jsonl", "chunks.jsonl", "enriched.jsonl"))
+    assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
+    assert main(["chunk", "--corpus", str(corpus), "--out", str(chunks)]) == EXIT_OK
+    lines = chunks.read_text().splitlines()
+    chunks.write_text("\n".join([*lines[:3], lines[0], *lines[3:]]) + "\n")
+    capsys.readouterr()
+    argv = ["inject", "--corpus", str(corpus), "--chunks", str(chunks), "--strategy", "low", "--out", str(enriched)]
+    assert main(argv) == EXIT_FORMAT
+    assert f"error: {chunks}: line 4: a run_config record belongs on the first line\n" == capsys.readouterr().err
+    assert not enriched.exists()

@@ -10,7 +10,7 @@ import pytest
 from cirbench import build_context, chunk_document, enrich, serialize_corpus, strategy
 from cirbench._io import atomic_write_bytes, write_jsonl
 from cirbench.chunking import read_chunks, write_chunks
-from cirbench.cli import EXIT_FORMAT, main
+from cirbench.cli import EXIT_FORMAT, EXIT_OK, main
 from cirbench.corpus import deserialize_corpus
 from cirbench.errors import CorpusFormatError
 from cirbench.evaluation import MetricRow, SweepFlags, SweepReport, emit_report, parse_report_jsonl, sweep_flags
@@ -311,3 +311,65 @@ def test_an_enriched_or_report_field_of_the_wrong_json_type_fails_naming_its_lin
     assert main(argv) == EXIT_FORMAT
     assert f"{path}: line {lineno}: bad record (ValueError: {message})" in capsys.readouterr().err
     assert not out.exists()
+
+
+_NOT_JSON = [(float("nan"), "NaN"), (float("inf"), "Infinity"), (float("-inf"), "-Infinity")]
+
+
+@pytest.mark.parametrize("value, name", _NOT_JSON, ids=[name for _, name in _NOT_JSON])
+@pytest.mark.parametrize("kind, field", [("enriched", "cir"), ("report", "homogenization"), ("chunks header", "t_max")])
+def test_a_constant_that_is_not_json_fails_naming_its_line(tmp_path, capsys, small_corpus, kind, field, value, name):
+    path, out = tmp_path / f"{kind.split()[0]}.jsonl", tmp_path / "out"
+    if kind == "report":
+        _three_row_report(path)
+        lineno = _replace_in_file(path, field, value)  # json.dumps writes the constant by name
+        argv = ["report", "--sweep", str(path), "--format", "csv", "--out-dir", str(out)]
+    elif kind == "enriched":
+        _write(kind, path, small_corpus)
+        lineno = _replace_in_file(path, field, value)
+        argv = ["embed", "--enriched", str(path), "--out", str(out)]
+    else:
+        corpus = tmp_path / "corpus.jsonl"
+        _write("corpus", corpus, small_corpus)
+        _write("chunks", path, small_corpus)
+        header, rest = path.read_text().split("\n", 1)
+        path.write_text(json.dumps({**json.loads(header), field: value}) + "\n" + rest)
+        lineno = 1
+        argv = ["inject", "--corpus", str(corpus), "--chunks", str(path), "--strategy", "low", "--out", str(out)]
+    assert name in path.read_text()
+    assert main(argv) == EXIT_FORMAT
+    assert f"error: {path}: line {lineno}: {name} is not JSON\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [value for value, _ in _NOT_JSON], ids=[name for _, name in _NOT_JSON])
+@pytest.mark.parametrize("where", ["header", "record"])
+def test_write_jsonl_refuses_a_float_that_is_not_finite_and_writes_nothing(tmp_path, value, where):
+    header, record = ({"t_max": value}, {"cir": 0.5}) if where == "header" else ({"t_max": 0.5}, {"cir": value})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_jsonl(tmp_path / "out.jsonl", [{"type": "chunk"}, record], header=header)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_run_config_record_after_the_first_line_is_a_format_error(tmp_path, small_corpus, kind):
+    path = tmp_path / f"{kind}.jsonl"
+    _write(kind, path, small_corpus)
+    header = '{"type": "run_config", "seed": 7}'
+    lines = [line for line in path.read_text().splitlines() if "run_config" not in line]  # the report has none
+    path.write_text("\n".join(["", header, *lines]) + "\n")  # led by a blank line: still the first record
+    _READERS[kind](path)
+    path.write_text("\n".join([header, *lines[:2], header, *lines[2:]]) + "\n")
+    with pytest.raises(CorpusFormatError, match=re.escape(f"{path}: line 4: a run_config record belongs on the first")):
+        _READERS[kind](path)
+
+
+def test_a_report_number_written_as_an_integer_reads_as_its_float(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    _three_row_report(path)
+    assert main(["report", "--sweep", str(path), "--format", "csv", "--out-dir", str(tmp_path / "float")]) == EXIT_OK
+    assert '"mean_cir": 0.0,' in path.read_text()
+    _replace_in_file(path, "mean_cir", 0)
+    assert '"mean_cir": 0,' in path.read_text()
+    assert main(["report", "--sweep", str(path), "--format", "csv", "--out-dir", str(tmp_path / "int")]) == EXIT_OK
+    assert (tmp_path / "int" / "sweep.csv").read_bytes() == (tmp_path / "float" / "sweep.csv").read_bytes()
