@@ -113,6 +113,20 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
+def _decode(path: str | Path, lineno: int, line: str):
+    """The JSON value of line *lineno*; bad JSON is a CorpusFormatError naming the path and the line.
+
+    ``NaN`` and ``Infinity`` are bad JSON, and so is nesting past the
+    interpreter's recursion limit.
+    """
+    try:
+        return _DECODER.decode(line)
+    except ValueError as exc:  # a JSONDecodeError, or a constant _refuse_constant refused
+        raise CorpusFormatError(f"{path}: line {lineno}: {getattr(exc, 'msg', exc)}") from exc
+    except RecursionError as exc:
+        raise CorpusFormatError(f"{path}: line {lineno}: JSON nested too deeply to parse") from exc
+
+
 def read_jsonl(path: str | Path, parse: Callable[[dict], T], unique: str | None = None) -> list[T]:
     """Map every record of a JSONL file through *parse*, in file order.
 
@@ -126,10 +140,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T], unique: str | None 
     out: list[T] = []
     first_line: dict = {}
     for position, (lineno, line) in enumerate(_lines(path)):
-        try:
-            rec = _DECODER.decode(line)
-        except ValueError as exc:  # a JSONDecodeError, or a constant _refuse_constant refused
-            raise CorpusFormatError(f"{path}: line {lineno}: {getattr(exc, 'msg', exc)}") from exc
+        rec = _decode(path, lineno, line)
         if not isinstance(rec, dict):
             raise CorpusFormatError(f"{path}: line {lineno}: expected a JSON object")
         if rec.get("type") == "run_config":
@@ -180,12 +191,13 @@ def json_field(rec: dict, key: str, kind, nullable: bool = False):
 
 
 def read_run_config(path: str | Path) -> dict:
-    """The ``run_config`` record leading a JSONL file, without its type; {} when there is none."""
-    _, line = next(_lines(path), (0, ""))
-    try:
-        rec = _DECODER.decode(line)
-    except ValueError:
-        return {}  # no header; read_jsonl reports bad JSON with its line number
+    """The ``run_config`` record leading a JSONL file, without its type; {} when there is none.
+
+    Bad JSON on the first non-blank line raises the CorpusFormatError that
+    ``read_jsonl`` would.
+    """
+    first = next(_lines(path), None)
+    rec = None if first is None else _decode(path, *first)
     if not isinstance(rec, dict) or rec.get("type") != "run_config":
         return {}
     return {key: value for key, value in rec.items() if key != "type"}

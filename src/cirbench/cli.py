@@ -12,12 +12,13 @@ argparse parser on the first call and reuses it, and ``sweep`` and
 ``report`` read ``CIRBENCH_OUT_DIR`` on every call, so each call follows
 its own environment; an explicit ``--out-dir`` wins.
 
-Exit codes: 0 success, 2 invalid flags or out-of-range configuration
-values (an output path that is a directory or lies under a regular file
-among them), 3 missing input file, or an input path that is a directory
-or lies under a regular file, 4 format/parse error (including bytes that
-are not UTF-8, an index whose dim no embedder takes, and an enriched
-chunk that an index file cannot hold), 1 any other failure.
+Exit codes: 0 success, 2 invalid flags or out-of-range flag values (an
+output path that is a directory or lies under a regular file among them),
+3 missing input file, or an input path that is a directory or lies under
+a regular file, 4 format/parse error (including bytes that are not UTF-8,
+an out-of-range value in an input's run_config header or a config file,
+an index whose dim no embedder takes, and an enriched chunk that an index
+file cannot hold), 1 any other failure.
 """
 
 from __future__ import annotations
@@ -106,6 +107,10 @@ def _resolve(args: argparse.Namespace, inherit_from: str | None = None) -> dict:
                 resolved[key] = json_field(values, key, _FIELDS[key][0])
             except ValueError as exc:
                 raise FormatError(f"{where}: {exc}, got {values[key]!r}") from exc
+        try:
+            _check_ranges(resolved)  # the values before this file's passed, so a failure is this file's
+        except ConfigError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
     for key in _FIELDS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -114,6 +119,15 @@ def _resolve(args: argparse.Namespace, inherit_from: str | None = None) -> dict:
         resolved["hash_seed"] = fork_seed(resolved["seed"], "embed") % (1 << 62)
     resolved["strategies"] = ",".join(s.strip() for s in resolved["strategies"].split(",") if s.strip())
     return resolved
+
+
+def _check_ranges(resolved: dict) -> None:
+    """Build every library object the values of *resolved* configure; an out-of-range value raises its ConfigError."""
+    _corpus_config(resolved).validate()
+    EmbedderConfig(resolved["dim"], resolved["hash_seed"] or 0)  # None: forked later, from the seed
+    kinds = [kind.strip() for kind in resolved["strategies"].split(",") if kind.strip()]
+    for kind in kinds or STRATEGY_KINDS:  # t_max is checked even when no kind is listed
+        InjectionStrategy(kind, resolved["t_max"])
 
 
 def _corpus_config(resolved: dict) -> CorpusConfig:

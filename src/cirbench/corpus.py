@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ._hash import fork_seed
 from ._io import json_field, read_jsonl, write_jsonl
@@ -415,10 +415,11 @@ def _record(obj: Fact | Section | Document | QuerySpec) -> dict:
     return rec
 
 
-def corpus_records(documents: Iterable[Document], queries: Iterable[QuerySpec]) -> list[dict]:
-    """The corpus file's records: one per document, then the query block."""
-    docs = [{"type": "document", **_record(doc)} for doc in documents]
-    return [*docs, {"type": "queries", "queries": [*map(_record, queries)]}]
+def corpus_records(documents: Iterable[Document], queries: Iterable[QuerySpec]) -> Iterator[dict]:
+    """The corpus file's records, built one at a time: one per document, then the query block."""
+    for doc in documents:
+        yield {"type": "document", **_record(doc)}
+    yield {"type": "queries", "queries": [*map(_record, queries)]}
 
 
 def serialize_corpus(

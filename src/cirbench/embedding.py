@@ -10,9 +10,10 @@ component means with weight ``L_I / (L_I + L_c)`` on the context side.
 gives a query's similarity to it along a grid of weights in [0, 1].
 An ``Embedder`` holds one token table (a dict from token to row, plus
 ``(rows, 4)`` arrays of int32 component indices and int8 signs).
-``sum_many`` pools each text by summing its tokens' rows with one
-``np.bincount`` of its own; ``mean_vector`` is its one-text case, and
-``embed_many`` normalizes its rows.
+``rows`` gives tokens' rows, and ``sum_rows`` sums the token vectors at
+given rows with one ``np.bincount``. ``sum_many`` pools each text with one
+``sum_rows`` call of its own; ``mean_vector`` is its one-text case, and
+``embed_many`` normalizes its rows with ``unit_rows``.
 
 Tokens are registered in bulk: the new tokens of one call are hashed by
 numpy kernels over ``uint64`` arrays (``_hash.fnv1a64_many``,
@@ -36,6 +37,7 @@ Token hashing, bit-exact, once per distinct token:
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from itertools import chain
@@ -159,19 +161,33 @@ class Embedder:
         """L2-normalized mean of the token vectors; order-insensitive."""
         return unit(self.mean_vector(tokens))
 
+    def rows(self, tokens: Sequence[str]) -> np.ndarray:
+        """Each token's row in the table, in order; new tokens are registered first."""
+        try:
+            return self._lookup(tokens)
+        except KeyError:
+            self.register(tokens)
+            return self._lookup(tokens)
+
+    def _lookup(self, tokens: Sequence[str]) -> np.ndarray:
+        return np.fromiter(map(self._row.__getitem__, tokens), np.intp, count=len(tokens))
+
+    def sum_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The sum of the token vectors at *rows*, by one ``np.bincount``; exact, as every component is an integer."""
+        return np.bincount(self._idx[rows].ravel(), self._sign[rows].ravel(), minlength=self.config.dim)
+
     def sum_many(self, token_lists: Sequence[list[str]]) -> np.ndarray:
         """The sum of each list's token vectors, one row each; an empty list sums to a zero row.
 
         The lists' new tokens are registered at once, and each list is
-        pooled by one ``np.bincount`` of its own rows. Every component is
-        an integer, so a row is exact in any order, and sums of rows equal
-        the sum over the concatenated lists bit for bit.
+        pooled by one ``sum_rows`` call. Every component is an integer, so
+        a row is exact in any order, and sums of rows equal the sum over
+        the concatenated lists bit for bit.
         """
         self.register(chain.from_iterable(token_lists))
         out = np.empty((len(token_lists), self.config.dim))
         for row, tokens in zip(out, token_lists):
-            rows = np.fromiter(map(self._row.__getitem__, tokens), np.intp, count=len(tokens))
-            row[:] = np.bincount(self._idx[rows].ravel(), self._sign[rows].ravel(), minlength=self.config.dim)
+            row[:] = self.sum_rows(self._lookup(tokens))
         return out
 
     def embed_many(self, token_lists: list[list[str]]) -> np.ndarray:
@@ -181,9 +197,7 @@ class Embedder:
             raise EmbeddingError("cannot embed an empty token sequence")
         out = self.sum_many(token_lists)
         out /= lengths[:, None]
-        for row in out:
-            row[:] = unit(row)
-        return out
+        return unit_rows(out)
 
 
 def unit(acc: np.ndarray) -> np.ndarray:
@@ -192,6 +206,20 @@ def unit(acc: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         raise EmbeddingError("degenerate zero embedding for non-empty input")
     return acc / norm
+
+
+def unit_rows(acc: np.ndarray) -> np.ndarray:
+    """Each row of *acc* scaled to unit L2 norm in place, bit for bit as ``unit`` scales it; returns *acc*.
+
+    Each norm is ``np.linalg.norm``'s, ``sqrt(row @ row)``, taken one row
+    at a time: a batched norm sums in another order. A zero row raises
+    EmbeddingError.
+    """
+    norms = np.array([math.sqrt(row.dot(row)) for row in acc])
+    if norms.size and norms.min() == 0.0:
+        raise EmbeddingError("degenerate zero embedding for non-empty input")
+    acc /= norms[:, None]
+    return acc
 
 
 _EMBEDDERS: dict[EmbedderConfig, Embedder] = {}

@@ -151,23 +151,35 @@ def sweep_flags(rows: Sequence[MetricRow]) -> SweepFlags:
     return SweepFlags(inverted, cross)
 
 
+_DIGEST_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(obj, sort_keys=True) is its encode(obj)
+
+
 def _config_digest(documents, queries, strategies, embed_config: EmbedderConfig, chunk_target: int) -> str:
-    """Digest of every input to run_sweep that can change a row, the sweep protocol and the package version."""
-    payload = json.dumps(
-        {
-            "version": __version__,
-            "corpus": corpus_records(documents, queries),
-            "dim": embed_config.dim,
-            "hash_seed": embed_config.hash_seed,
-            "chunk_target": chunk_target,
-            # The keys and values of the settable fields these once were: recorded digests stay valid.
-            "strategies": [[s.kind, s.summary_budget, s.target_cir, s.t_max] for s in strategies],
-            "k_values": [NDCG_K, RECALL_K],
-            "search_depth": SEARCH_DEPTH,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+    """Digest of every input to run_sweep that can change a row, the sweep protocol and the package version.
+
+    It is the sha256 of ``json.dumps(payload, sort_keys=True)``, where the
+    payload holds the corpus's records under ``"corpus"``. Those bytes are
+    fed to the hash in pieces, one corpus record at a time, so the corpus is
+    never held as one JSON string.
+    """
+    settings = {
+        "version": __version__,
+        "dim": embed_config.dim,
+        "hash_seed": embed_config.hash_seed,
+        "chunk_target": chunk_target,
+        # The keys and values of the settable fields these once were: recorded digests stay valid.
+        "strategies": [[s.kind, s.summary_budget, s.target_cir, s.t_max] for s in strategies],
+        "k_values": [NDCG_K, RECALL_K],
+        "search_depth": SEARCH_DEPTH,
+    }
+    head, tail = _DIGEST_ENCODER.encode({**settings, "corpus": None}).split('"corpus": null')
+    digest = hashlib.sha256(f'{head}"corpus": ['.encode("utf-8"))
+    separator = ""
+    for rec in corpus_records(documents, queries):  # a JSON array's items are joined by ", "
+        digest.update(f"{separator}{_DIGEST_ENCODER.encode(rec)}".encode("utf-8"))
+        separator = ", "
+    digest.update(f"]{tail}".encode("utf-8"))
+    return digest.hexdigest()[:12]
 
 
 def evaluate_strategy(

@@ -7,18 +7,23 @@ caps the block so the ratio never exceeds a threshold, filling hierarchy
 first and summary second, with no padding and no metadata.
 
 ``context_layout`` is the one place a block is sized: it gives each
-piece's length over the section's ``ContextSources``. ``build_context``
-cuts the block from those sources; ``EnrichedSums`` sums the same blocks,
-and ``effective_lambda`` measures the context's mixing weight in an
-embedding.
+piece's length over the section's ``ContextSources``. ``block_pieces`` is
+the one definition of the block: an ordered list of pieces, each a source
+field, a stop and a number of copies, so that the block is
+``sources.<field>[:stop]`` repeated ``copies`` times, piece after piece.
+``build_context`` expands the pieces into tokens; ``EnrichedSums`` turns
+the same pieces into sums; ``effective_lambda`` measures the context's
+mixing weight in an embedding.
 
 ``EnrichedSums`` embeds by mixing integer sums, not by embedding enriched
-token lists. Each chunk's token vectors are summed once; under each
-strategy, each distinct block is built once per section and chunk length,
-and all of them are summed by one ``Embedder.sum_many`` call. An enriched
-chunk's vector is ``(chunk_sum + block_sum) / (L_c + L_I)``, normalized.
-Every component of these sums is an integer, so the vector equals
-``embed`` of the enriched tokens bit for bit.
+token lists. Each chunk's token vectors are summed once, and each source
+list is looked up in the token table once. Under each strategy, a distinct
+block's sum is one ``np.bincount`` over its single-copy pieces' rows, plus
+``copies`` times the pad pool's sum for its whole pad-pool cycles, which
+are never built as tokens. An enriched chunk's vector is
+``(chunk_sum + block_sum) / (L_c + L_I)``, normalized. Every component of
+these sums is an integer, so the vector equals ``embed`` of the enriched
+tokens bit for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 from ._io import json_field, read_jsonl, write_jsonl
 from .chunking import Chunk, parse_chunk_id
 from .corpus import Document
-from .embedding import Embedder, EmbedderConfig, get_embedder, unit
+from .embedding import Embedder, EmbedderConfig, get_embedder, unit_rows
 from .errors import ConfigError, DegenerateMixError
 
 STRATEGY_KINDS = ("baseline", "low", "medium", "high", "overload", "ddai")
@@ -153,37 +158,40 @@ def document_digest(doc: Document) -> list[str]:
 
 def hierarchy_tokens(chunk: Chunk) -> list[str]:
     """Heading path rendered as a flat token sequence."""
-    return [tok for heading in chunk.heading_path for tok in heading.split()]
+    return " ".join(chunk.heading_path).split()
 
 
 def metadata_tokens(doc: Document) -> list[str]:
     """Document metadata rendered as tokens: id, typology, section list (each section's last heading)."""
-    out = doc.doc_id.split("-") + [doc.typology]
-    for section in doc.sections:
-        if section.heading_path:
-            out.extend(section.heading_path[-1].split())
-    return out
+    headings = " ".join([section.heading_path[-1] for section in doc.sections if section.heading_path])
+    return [*doc.doc_id.split("-"), doc.typology, *headings.split()]
 
 
 class ContextSources(NamedTuple):
-    """The token lists a chunk's context blocks are cut from; equal for every chunk of one section."""
+    """The lists a chunk's context blocks are cut from; equal for every chunk of one section.
 
-    hierarchy: list[str]
-    digest: list[str]
-    metadata: list[str]
-    pad_pool: list[str]
+    ``context_sources`` gives them as tokens; ``EnrichedSums`` holds the
+    same lists as token-table rows.
+    """
+
+    hierarchy: Sequence
+    digest: Sequence
+    metadata: Sequence
+    pad_pool: Sequence
+
+
+def pad_pool(hierarchy: list[str], digest: list[str], title: Sequence[str]) -> list[str]:
+    """The tokens padding cycles: the heading path plus the digest's leading tokens.
+
+    When both are empty it is the title, or ``["context"]`` for an untitled document.
+    """
+    return hierarchy + digest[:_PAD_POOL_DIGEST_TOKENS] or list(title) or ["context"]
 
 
 def context_sources(doc: Document, chunk: Chunk) -> ContextSources:
-    """*chunk*'s heading path, the document's digest and metadata, and the pad pool.
-
-    The pad pool is the heading path plus the digest's leading tokens; when
-    both are empty it is the title, or ``["context"]`` for an untitled document.
-    """
-    hierarchy = hierarchy_tokens(chunk)
-    digest = document_digest(doc)
-    pad_pool = hierarchy + digest[:_PAD_POOL_DIGEST_TOKENS] or list(doc.title) or ["context"]
-    return ContextSources(hierarchy, digest, metadata_tokens(doc), pad_pool)
+    """*chunk*'s heading path, the document's digest and metadata, and the pad pool, as tokens."""
+    hierarchy, digest = hierarchy_tokens(chunk), document_digest(doc)
+    return ContextSources(hierarchy, digest, metadata_tokens(doc), pad_pool(hierarchy, digest, doc.title))
 
 
 class ContextLayout(NamedTuple):
@@ -222,66 +230,94 @@ def context_layout(sources: ContextSources, chunk_len: int, strat: InjectionStra
     return ContextLayout(h, s, m, total - h - s - m)
 
 
-def _block(sources: ContextSources, chunk_len: int, strat: InjectionStrategy) -> list[str]:
-    """The context block of a *chunk_len*-token chunk under *strat*, cut from *sources* by its layout.
+def block_pieces(sources: ContextSources, chunk_len: int, strat: InjectionStrategy) -> list[tuple[str, int, int]]:
+    """The context block of a *chunk_len*-token chunk under *strat*, as its pieces in order.
 
-    ``hierarchy[:hierarchy]``, then ``padding`` tokens cycled from the pad
-    pool (whole copies, then its first tokens), then ``digest[:summary]``,
-    then ``metadata[:metadata]``.
+    A piece ``(field, stop, copies)`` stands for ``copies`` copies of
+    ``sources.<field>[:stop]``. The block is ``hierarchy[:hierarchy]``, then
+    ``padding`` tokens cycled from the pad pool (whole copies, then its
+    first tokens), then ``digest[:summary]``, then ``metadata[:metadata]``,
+    with the lengths of ``context_layout``.
     """
     lay = context_layout(sources, chunk_len, strat)
     cycles, rest = divmod(lay.padding, len(sources.pad_pool))
     return [
-        *sources.hierarchy[: lay.hierarchy],
-        *sources.pad_pool * cycles,
-        *sources.pad_pool[:rest],
-        *sources.digest[: lay.summary],
-        *sources.metadata[: lay.metadata],
+        ("hierarchy", lay.hierarchy, 1),
+        ("pad_pool", len(sources.pad_pool), cycles),
+        ("pad_pool", rest, 1),
+        ("digest", lay.summary, 1),
+        ("metadata", lay.metadata, 1),
     ]
 
 
 def build_context(doc: Document, chunk: Chunk, strat: InjectionStrategy) -> list[str]:
-    """The context block's tokens for *chunk* under *strat*."""
-    return _block(context_sources(doc, chunk), chunk.length, strat)
+    """The context block's tokens for *chunk* under *strat*: its pieces, expanded."""
+    sources = context_sources(doc, chunk)
+    out: list[str] = []
+    for source, stop, copies in block_pieces(sources, chunk.length, strat):
+        if copies == 1:  # no list product: it would copy the slice once more
+            out += getattr(sources, source)[:stop]
+        elif copies:
+            out += getattr(sources, source)[:stop] * copies
+    return out
 
 
 class EnrichedSums:
     """The sweep's chunk vectors under each strategy, from integer token-vector sums.
 
-    Each chunk is summed once, by one ``Embedder.sum_many`` call. Under a
-    strategy, each distinct block (one per section and chunk length) is
-    built as ``build_context`` builds it, and all of them are summed by one
-    more ``sum_many`` call.
+    ``__init__`` sums each chunk once, by one ``Embedder.sum_many`` call,
+    and holds each section's ``ContextSources`` as token-table rows, looked
+    up once: the digest and the metadata per document, the heading path and
+    the pad pool per section. ``vectors`` sums each distinct block (one per
+    section and chunk length) from its ``block_pieces``: one
+    ``Embedder.sum_rows`` call over the rows of its single-copy pieces,
+    plus ``copies`` times the pool's sum for a piece of whole pad-pool
+    cycles. No block is built as tokens.
     """
 
     def __init__(self, chunks: Sequence[Chunk], doc_by_id: dict[str, Document], embedder: Embedder):
         self.chunks = chunks
         self._embedder = embedder
+        self._chunk_sums = embedder.sum_many([chunk.tokens for chunk in chunks])
+        doc_rows: dict[str, tuple[list[str], np.ndarray, np.ndarray]] = {}
         self._sources: dict[tuple[str, int], ContextSources] = {}
         for chunk in chunks:
             section = (chunk.doc_id, chunk.section_index)
-            if section not in self._sources:
-                self._sources[section] = context_sources(doc_by_id[chunk.doc_id], chunk)
-        self._chunk_sums = embedder.sum_many([chunk.tokens for chunk in chunks])
+            if section in self._sources:
+                continue
+            doc = doc_by_id[chunk.doc_id]
+            if doc.doc_id not in doc_rows:
+                digest = document_digest(doc)
+                doc_rows[doc.doc_id] = digest, embedder.rows(digest), embedder.rows(metadata_tokens(doc))
+            digest, digest_rows, metadata_rows = doc_rows[doc.doc_id]
+            hierarchy = hierarchy_tokens(chunk)
+            pool = pad_pool(hierarchy, digest, doc.title)
+            self._sources[section] = ContextSources(
+                embedder.rows(hierarchy), digest_rows, metadata_rows, embedder.rows(pool)
+            )
 
     def vectors(self, strat: InjectionStrategy) -> tuple[np.ndarray, list[float]]:
         """Unit vectors and CIRs of every chunk enriched under *strat*, in chunk order."""
         block_of: dict[tuple[str, int, int], int] = {}
-        blocks: list[list[str]] = []
-        rows: list[int] = []
-        for chunk in self.chunks:
-            key = (chunk.doc_id, chunk.section_index, chunk.length)
-            if key not in block_of:
-                block_of[key] = len(blocks)
-                blocks.append(_block(self._sources[key[:2]], chunk.length, strat))
-            rows.append(block_of[key])
-        context_lengths = [len(blocks[row]) for row in rows]
-        out = self._embedder.sum_many(blocks)[rows]
+        rows = [block_of.setdefault((c.doc_id, c.section_index, c.length), len(block_of)) for c in self.chunks]
+        sums = np.empty((len(block_of), self._embedder.config.dim))
+        lengths = np.empty(len(block_of), np.intp)
+        for (doc_id, section_index, chunk_len), block in block_of.items():
+            sources = self._sources[doc_id, section_index]
+            cuts = [
+                (getattr(sources, source)[:stop], copies)
+                for source, stop, copies in block_pieces(sources, chunk_len, strat)
+            ]
+            sums[block] = self._embedder.sum_rows(np.concatenate([cut for cut, copies in cuts if copies == 1]))
+            for cut, copies in cuts:
+                if copies > 1:
+                    sums[block] += copies * self._embedder.sum_rows(cut)
+            lengths[block] = sum(len(cut) * copies for cut, copies in cuts)
+        context_lengths = lengths[rows].tolist()
+        out = sums[rows]
         out += self._chunk_sums
         out /= np.add([chunk.length for chunk in self.chunks], context_lengths)[:, None]
-        for vector in out:
-            vector[:] = unit(vector)  # one row at a time: a batched norm sums in another order
-        return out, [compute_cir(n, chunk.length) for n, chunk in zip(context_lengths, self.chunks)]
+        return unit_rows(out), [compute_cir(n, chunk.length) for n, chunk in zip(context_lengths, self.chunks)]
 
 
 def enrich(chunk: Chunk, context: list[str]) -> EnrichedChunk:

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,7 @@ from cirbench.injection import STRATEGY_KINDS, write_enriched
 from cirbench.retrieval import save_index
 
 SMALL = ["--docs", "6", "--queries", "24", "--seed", "11"]
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_sweep_runs_twice_byte_identical(tmp_path):
@@ -705,3 +710,55 @@ def test_inject_refuses_a_chunks_file_whose_run_config_repeats_after_its_first_l
     assert main(argv) == EXIT_FORMAT
     assert f"error: {chunks}: line 4: a run_config record belongs on the first line\n" == capsys.readouterr().err
     assert not enriched.exists()
+
+
+@pytest.mark.parametrize(
+    ("where", "key", "value", "message"),
+    [
+        ("run_config", "t_max", 5.0, "t_max: must lie in (0, 1)"),
+        ("run_config", "dim", 4, "dim: must lie in [8, 2**31], got 4"),
+        ("config", "t_max", 0.0, "t_max: must lie in (0, 1)"),
+    ],
+)
+def test_an_out_of_range_file_value_is_a_format_error_naming_the_file(tmp_path, capsys, where, key, value, message):
+    corpus, chunks, cfg, enriched = (
+        tmp_path / name for name in ("corpus.jsonl", "chunks.jsonl", "run.cfg", "enriched.jsonl")
+    )
+    assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
+    assert main(["chunk", "--corpus", str(corpus), "--out", str(chunks)]) == EXIT_OK
+    argv = ["inject", "--corpus", str(corpus), "--chunks", str(chunks), "--strategy", "low", "--out", str(enriched)]
+    if where == "run_config":
+        header, rest = chunks.read_text().split("\n", 1)
+        chunks.write_text(json.dumps({**json.loads(header), key: value}) + "\n" + rest)
+        named = f"{chunks}: run_config"
+    else:
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+        named = str(cfg)
+    capsys.readouterr()
+    assert main(argv) == EXIT_FORMAT
+    assert f"error: {named}: {message}\n" == capsys.readouterr().err
+    assert not enriched.exists()
+
+
+@pytest.mark.parametrize("lineno", [1, 2])
+def test_a_line_nested_past_the_recursion_limit_is_a_format_error(tmp_path, capsys, lineno):
+    corpus, chunks, enriched = (tmp_path / name for name in ("corpus.jsonl", "chunks.jsonl", "enriched.jsonl"))
+    assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
+    assert main(["chunk", "--corpus", str(corpus), "--out", str(chunks)]) == EXIT_OK
+    lines = chunks.read_text().splitlines()
+    lines[lineno - 1] = "[" * 100_000 + "]" * 100_000
+    chunks.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    argv = ["inject", "--corpus", str(corpus), "--chunks", str(chunks), "--strategy", "low", "--out", str(enriched)]
+    assert main(argv) == EXIT_FORMAT
+    assert f"error: {chunks}: line {lineno}: JSON nested too deeply to parse\n" == capsys.readouterr().err
+    assert not enriched.exists()
+
+
+def test_python_m_cirbench_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "cirbench", "--help"], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: cirbench")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import os
 import random
@@ -31,10 +33,19 @@ from cirbench import (
     sweep_flags,
     wrong_section_share,
 )
-from cirbench.corpus import SPECIFIC, THEMATIC
+from cirbench import __version__
+from cirbench.corpus import SPECIFIC, THEMATIC, corpus_records
 from cirbench.embedding import unit
 from cirbench.errors import ConfigError, EmbeddingError
-from cirbench.evaluation import CSV_HEADER, parse_report_jsonl, report_csv
+from cirbench.evaluation import (
+    CSV_HEADER,
+    NDCG_K,
+    RECALL_K,
+    SEARCH_DEPTH,
+    _config_digest,
+    parse_report_jsonl,
+    report_csv,
+)
 from cirbench.retrieval import Hit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -286,6 +297,24 @@ def test_config_digest_value_is_stable():
     embed_config = EmbedderConfig(dim=64, hash_seed=3)
     assert run_sweep(docs, queries, [strategy("low")], embed_config).config_digest == "bf1bff421914"
     assert run_sweep(docs, queries, all_strategies(0.2), embed_config).config_digest == "81eabcbc9157"
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_config_digest_is_the_hash_of_the_one_shot_payload(seed):
+    docs, queries = generate_corpus(CorpusConfig(seed=seed))  # a reference corpus
+    strategies, embed_config = all_strategies(), EmbedderConfig(hash_seed=seed)
+    payload = {
+        "version": __version__,
+        "corpus": list(corpus_records(docs, queries)),
+        "dim": embed_config.dim,
+        "hash_seed": seed,
+        "chunk_target": 250,
+        "strategies": [[s.kind, s.summary_budget, s.target_cir, s.t_max] for s in strategies],
+        "k_values": [NDCG_K, RECALL_K],
+        "search_depth": SEARCH_DEPTH,
+    }
+    one_shot = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()[:12]
+    assert _config_digest(docs, queries, strategies, embed_config, 250) == one_shot
 
 
 def test_report_csv_shape(small_config, small_corpus):

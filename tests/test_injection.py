@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from dataclasses import fields
 from itertools import cycle, islice
 
 import pytest
 
 from cirbench import (
+    CorpusConfig,
     EnrichedChunk,
     InjectionStrategy,
     all_strategies,
@@ -15,6 +17,7 @@ from cirbench import (
     compute_cir,
     ddai_budget,
     enrich,
+    generate_corpus,
     make_chunk_id,
     strategy,
 )
@@ -309,3 +312,19 @@ def test_layout_reproduces_token_built_blocks_and_sweep_sums_reproduce_embedding
     assert reached == {
         "full pad cycle", "metadata cut", "ddai budget cut", "pad pool ['lone', 'title']", "pad pool ['context']"
     }
+
+
+def test_sweep_sums_build_no_block_as_tokens():
+    docs, _ = generate_corpus(CorpusConfig())  # the reference corpus
+    chunks = [c for d in docs for c in chunk_document(d, 250)]
+    sums = EnrichedSums(chunks, {d.doc_id: d for d in docs}, Embedder(EmbedderConfig()))
+    blocks = len({(c.doc_id, c.section_index, c.length) for c in chunks})
+    tracemalloc.start()
+    try:
+        vectors, _ = sums.vectors(strategy("overload"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The output, the distinct blocks' sums and 512 KiB. An overload block is
+    # about 1,400 tokens; as token lists the blocks alone would take some 5 MB.
+    assert peak <= vectors.nbytes + blocks * vectors.shape[1] * vectors.itemsize + (1 << 19)

@@ -10,7 +10,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "cirbench"
 
 # Lowest first: a module may import only modules before it.
-ORDER = ["errors", "_hash", "_io", "chunking", "corpus", "embedding", "injection", "retrieval", "evaluation", "cli"]
+ORDER = ["errors", "_hash", "_io", "chunking", "corpus", "embedding", "injection", "retrieval", "evaluation", "cli", "__main__"]
 LAYER = {module: depth for depth, module in enumerate(ORDER)}
 
 
