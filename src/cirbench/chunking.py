@@ -100,15 +100,21 @@ def _chunk_from_record(rec: dict) -> Chunk:
     doc_id, section_index, _ = parse_chunk_id(rec["chunk_id"])
     if rec["doc_id"] != doc_id:
         raise ValueError(f"doc_id {rec['doc_id']!r} disagrees with chunk id {rec['chunk_id']!r}")
+    tokens = json_field(rec, "tokens", list[str])
+    if not tokens:
+        raise ValueError("tokens: expected a non-empty JSON array of strings")
     return Chunk(
         chunk_id=rec["chunk_id"],
         doc_id=doc_id,
         section_index=section_index,
         heading_path=json_field(rec, "heading_path", list[str]),
-        tokens=json_field(rec, "tokens", list[str]),
+        tokens=tokens,
     )
 
 
 def read_chunks(path: str | Path) -> list[Chunk]:
-    """Read a chunk dump; section index and offset come from the chunk id, whose document must be ``doc_id``."""
+    """Read a chunk dump; section index and offset come from the chunk id, whose document must be ``doc_id``.
+
+    An empty ``tokens`` array is a CorpusFormatError naming the line.
+    """
     return read_jsonl(path, _chunk_from_record, unique="chunk_id")

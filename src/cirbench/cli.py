@@ -16,9 +16,10 @@ Exit codes: 0 success, 2 invalid flags or out-of-range flag values (an
 output path that is a directory or lies under a regular file among them),
 3 missing input file, or an input path that is a directory or lies under
 a regular file, 4 format/parse error (including bytes that are not UTF-8,
-an out-of-range value in an input's run_config header or a config file,
-an index whose dim no embedder takes, and an enriched chunk that an index
-file cannot hold), 1 any other failure.
+an unknown key or an out-of-range value in a config file or in an input's
+run_config header, ``report``'s sweep file included, an empty ``tokens``
+array, an index whose dim no embedder takes, and an enriched chunk that an
+index file cannot hold), 1 any other failure.
 """
 
 from __future__ import annotations
@@ -226,7 +227,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     report = parse_report_jsonl(args.sweep)
-    written = emit_report(report, args.format, _out_dir(args), read_run_config(args.sweep) or None)
+    # The header passes the checks every stage's input header passes; a file without one gets none.
+    header = _resolve(args, args.sweep) if read_run_config(args.sweep) else None
+    written = emit_report(report, args.format, _out_dir(args), header)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

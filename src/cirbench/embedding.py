@@ -8,12 +8,14 @@ pre-normalization vector that is the convex combination of the two
 component means with weight ``L_I / (L_I + L_c)`` on the context side.
 ``dilution_curve`` is the one function that forms that normalized mix: it
 gives a query's similarity to it along a grid of weights in [0, 1].
-An ``Embedder`` holds one token table (a dict from token to row, plus
-``(rows, 4)`` arrays of int32 component indices and int8 signs).
-``rows`` gives tokens' rows, and ``sum_rows`` sums the token vectors at
-given rows with one ``np.bincount``. ``sum_many`` pools each text with one
-``sum_rows`` call of its own; ``mean_vector`` is its one-text case, and
-``embed_many`` normalizes its rows with ``unit_rows``.
+An ``Embedder`` holds one token table: a dict from token to row, plus a
+``(rows, 4)`` ``uint32`` array of signed codes, each a component's index,
+plus ``dim`` if the component is -1. ``rows`` gives tokens' rows, and
+``sum_rows`` sums the token vectors at given rows by one unweighted
+``np.bincount`` of their codes, the lower ``dim`` counts less the upper.
+``sum_many`` pools each text with one ``sum_rows`` call of its own;
+``mean_vector`` is its one-text case, and ``embed_many`` normalizes its
+rows with ``unit_rows``.
 
 Tokens are registered in bulk: the new tokens of one call are hashed by
 numpy kernels over ``uint64`` arrays (``_hash.fnv1a64_many``,
@@ -32,7 +34,7 @@ Token hashing, bit-exact, once per distinct token:
    ``dim`` and rejected until four distinct indices are found.
 3. Signs come from an independent splitmix64 stream seeded with
    ``h0 XOR mix(hash_seed) XOR 0x3C5A...``; the low bit of each draw
-   selects +1 or -1.
+   selects +1 or -1 for the index drawn in the same place.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class EmbedderConfig:
     hash_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 8 <= self.dim <= 1 << 31:  # every component index fits the token table's int32
+        if not 8 <= self.dim <= 1 << 31:  # every signed code, below 2 * dim, fits the token table's uint32
             raise ConfigError(f"dim: must lie in [8, 2**31], got {self.dim}")
         if not 0 <= self.hash_seed < 1 << 64:
             raise ConfigError(f"hash_seed: must lie in [0, 2**64), got {self.hash_seed}")
@@ -80,45 +82,44 @@ class Embedder:
         self.config = config
         self._seed_mix, _ = splitmix64(config.hash_seed)
         self._row: dict[str, int] = {}
-        self._idx = np.zeros((0, NONZEROS_PER_TOKEN), np.int32)
-        self._sign = np.zeros((0, NONZEROS_PER_TOKEN), np.int8)
+        self._codes = np.zeros((0, NONZEROS_PER_TOKEN), np.uint32)
         self._lock = threading.Lock()
 
-    def _hash(self, token: str) -> tuple[list[int], list[float]]:
+    def _hash(self, token: str) -> list[int]:
+        """The token's four signed codes: each distinct index, plus ``dim`` where its sign is -1."""
         base = fnv1a64(token.encode("utf-8")) ^ self._seed_mix
         indices, state = [], base ^ _IDX_SALT
         while len(indices) < NONZEROS_PER_TOKEN:
             value, state = splitmix64(state)
             if value % self.config.dim not in indices:
                 indices.append(value % self.config.dim)
-        signs, state = [], base ^ _SIGN_SALT
-        for _ in range(NONZEROS_PER_TOKEN):
+        codes, state = [], base ^ _SIGN_SALT
+        for index in indices:
             value, state = splitmix64(state)
-            signs.append(1.0 if value & 1 else -1.0)
-        return indices, signs
+            codes.append(index if value & 1 else index + self.config.dim)
+        return codes
 
-    def _hash_many(self, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """``_hash`` of every token at once: (n, 4) indices and signs, row for row the same."""
+    def _hash_many(self, tokens: list[str]) -> np.ndarray:
+        """``_hash`` of every token at once: (n, 4) signed codes, row for row the same."""
         base = fnv1a64_many([tok.encode("utf-8") for tok in tokens]) ^ np.uint64(self._seed_mix)
-        idx = np.full((len(tokens), NONZEROS_PER_TOKEN), -1, dtype=np.int32)  # -1: not drawn yet
+        codes = np.full((len(tokens), NONZEROS_PER_TOKEN), self.config.dim, np.uint32)  # dim: no index drawn yet
         found = np.zeros(len(tokens), dtype=np.intp)
         # Draw once for every row still short of four distinct indices, and keep each draw it lacks.
         rows, state = np.arange(len(tokens)), base ^ np.uint64(_IDX_SALT)
         while rows.size:
             value, state = splitmix64_many(state)
-            value = (value % np.uint64(self.config.dim)).astype(np.int32)
-            new = (idx[rows] != value[:, None]).all(axis=1)
+            value = (value % np.uint64(self.config.dim)).astype(np.uint32)
+            new = (codes[rows] != value[:, None]).all(axis=1)
             hit = rows[new]
-            idx[hit, found[hit]] = value[new]
+            codes[hit, found[hit]] = value[new]
             found[hit] += 1
             short = found[rows] < NONZEROS_PER_TOKEN
             rows, state = rows[short], state[short]
-        sign = np.empty(idx.shape, np.int8)
         state = base ^ np.uint64(_SIGN_SALT)
         for c in range(NONZEROS_PER_TOKEN):
             value, state = splitmix64_many(state)
-            sign[:, c] = np.where(value & np.uint64(1), 1, -1)
-        return idx, sign
+            codes[(value & np.uint64(1)) == 0, c] += self.config.dim
+        return codes
 
     def register(self, tokens: Iterable[str]) -> None:
         """Add every token of *tokens* that the table lacks, at most ``POOL_TOKENS`` new tokens per numpy pass."""
@@ -133,16 +134,15 @@ class Embedder:
         with self._lock:
             new = [tok for tok in new if tok not in self._row]  # another thread may have added some
             start, end = len(self._row), len(self._row) + len(new)
-            if end > len(self._idx):
-                shape = (max(end, 2 * len(self._idx)), NONZEROS_PER_TOKEN)
-                self._idx, self._sign = np.resize(self._idx, shape), np.resize(self._sign, shape)
+            if end > len(self._codes):
+                self._codes = np.resize(self._codes, (max(end, 2 * len(self._codes)), NONZEROS_PER_TOKEN))
             if len(new) < BULK_HASH_MIN:
                 for r, tok in enumerate(new, start):
-                    self._idx[r], self._sign[r] = self._hash(tok)
+                    self._codes[r] = self._hash(tok)
             else:
                 for lo in range(0, len(new), POOL_TOKENS):
                     rows = slice(start + lo, min(start + lo + POOL_TOKENS, end))
-                    self._idx[rows], self._sign[rows] = self._hash_many(new[lo : lo + POOL_TOKENS])
+                    self._codes[rows] = self._hash_many(new[lo : lo + POOL_TOKENS])
             self._row.update(zip(new, range(start, end)))
 
     def token_vector(self, token: str) -> np.ndarray:
@@ -173,8 +173,9 @@ class Embedder:
         return np.fromiter(map(self._row.__getitem__, tokens), np.intp, count=len(tokens))
 
     def sum_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The sum of the token vectors at *rows*, by one ``np.bincount``; exact, as every component is an integer."""
-        return np.bincount(self._idx[rows].ravel(), self._sign[rows].ravel(), minlength=self.config.dim)
+        """The sum of the token vectors at *rows*, as integers: one unweighted ``np.bincount`` of their codes."""
+        counts = np.bincount(self._codes[rows].ravel(), minlength=2 * self.config.dim)
+        return counts[: self.config.dim] - counts[self.config.dim :]
 
     def sum_many(self, token_lists: Sequence[list[str]]) -> np.ndarray:
         """The sum of each list's token vectors, one row each; an empty list sums to a zero row.

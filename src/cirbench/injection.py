@@ -16,11 +16,12 @@ the same pieces into sums; ``effective_lambda`` measures the context's
 mixing weight in an embedding.
 
 ``EnrichedSums`` embeds by mixing integer sums, not by embedding enriched
-token lists. Each chunk's token vectors are summed once, and each source
-list is looked up in the token table once. Under each strategy, a distinct
-block's sum is one ``np.bincount`` over its single-copy pieces' rows, plus
-``copies`` times the pad pool's sum for its whole pad-pool cycles, which
-are never built as tokens. An enriched chunk's vector is
+token lists. Each chunk's token vectors are summed once. Each section's
+sources come from ``context_sources`` and are looked up in the token table
+once, the digest and the metadata once per document. Under each strategy,
+a distinct block's sum is one ``np.bincount`` over its single-copy pieces'
+rows, plus ``copies`` times the pad pool's sum for its whole pad-pool
+cycles, which are never built as tokens. An enriched chunk's vector is
 ``(chunk_sum + block_sum) / (L_c + L_I)``, normalized. Every component of
 these sums is an integer, so the vector equals ``embed`` of the enriched
 tokens bit for bit.
@@ -180,18 +181,16 @@ class ContextSources(NamedTuple):
     pad_pool: Sequence
 
 
-def pad_pool(hierarchy: list[str], digest: list[str], title: Sequence[str]) -> list[str]:
-    """The tokens padding cycles: the heading path plus the digest's leading tokens.
-
-    When both are empty it is the title, or ``["context"]`` for an untitled document.
-    """
-    return hierarchy + digest[:_PAD_POOL_DIGEST_TOKENS] or list(title) or ["context"]
-
-
 def context_sources(doc: Document, chunk: Chunk) -> ContextSources:
-    """*chunk*'s heading path, the document's digest and metadata, and the pad pool, as tokens."""
+    """*chunk*'s heading path, the document's digest and metadata, and the pad pool, as tokens.
+
+    The pad pool, the tokens padding cycles, is the heading path plus the
+    digest's leading tokens; when both are empty it is the title, or
+    ``["context"]`` for an untitled document.
+    """
     hierarchy, digest = hierarchy_tokens(chunk), document_digest(doc)
-    return ContextSources(hierarchy, digest, metadata_tokens(doc), pad_pool(hierarchy, digest, doc.title))
+    pool = hierarchy + digest[:_PAD_POOL_DIGEST_TOKENS] or list(doc.title) or ["context"]
+    return ContextSources(hierarchy, digest, metadata_tokens(doc), pool)
 
 
 class ContextLayout(NamedTuple):
@@ -266,34 +265,30 @@ class EnrichedSums:
     """The sweep's chunk vectors under each strategy, from integer token-vector sums.
 
     ``__init__`` sums each chunk once, by one ``Embedder.sum_many`` call,
-    and holds each section's ``ContextSources`` as token-table rows, looked
-    up once: the digest and the metadata per document, the heading path and
-    the pad pool per section. ``vectors`` sums each distinct block (one per
-    section and chunk length) from its ``block_pieces``: one
-    ``Embedder.sum_rows`` call over the rows of its single-copy pieces,
-    plus ``copies`` times the pool's sum for a piece of whole pad-pool
-    cycles. No block is built as tokens.
+    and holds each section's ``context_sources`` as token-table rows: the
+    heading path and the pad pool per section, and one digest and one
+    metadata row array per document, shared by its sections. ``vectors``
+    sums each distinct block (one per section and chunk length) from its
+    ``block_pieces``: one ``Embedder.sum_rows`` call over the rows of its
+    single-copy pieces, plus ``copies`` times the pool's sum for a piece of
+    whole pad-pool cycles. No block is built as tokens.
     """
 
     def __init__(self, chunks: Sequence[Chunk], doc_by_id: dict[str, Document], embedder: Embedder):
         self.chunks = chunks
         self._embedder = embedder
         self._chunk_sums = embedder.sum_many([chunk.tokens for chunk in chunks])
-        doc_rows: dict[str, tuple[list[str], np.ndarray, np.ndarray]] = {}
+        doc_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._sources: dict[tuple[str, int], ContextSources] = {}
         for chunk in chunks:
             section = (chunk.doc_id, chunk.section_index)
             if section in self._sources:
                 continue
-            doc = doc_by_id[chunk.doc_id]
-            if doc.doc_id not in doc_rows:
-                digest = document_digest(doc)
-                doc_rows[doc.doc_id] = digest, embedder.rows(digest), embedder.rows(metadata_tokens(doc))
-            digest, digest_rows, metadata_rows = doc_rows[doc.doc_id]
-            hierarchy = hierarchy_tokens(chunk)
-            pool = pad_pool(hierarchy, digest, doc.title)
+            hierarchy, digest, metadata, pool = context_sources(doc_by_id[chunk.doc_id], chunk)
+            if chunk.doc_id not in doc_rows:
+                doc_rows[chunk.doc_id] = embedder.rows(digest), embedder.rows(metadata)
             self._sources[section] = ContextSources(
-                embedder.rows(hierarchy), digest_rows, metadata_rows, embedder.rows(pool)
+                embedder.rows(hierarchy), *doc_rows[chunk.doc_id], embedder.rows(pool)
             )
 
     def vectors(self, strat: InjectionStrategy) -> tuple[np.ndarray, list[float]]:
@@ -342,13 +337,16 @@ def _enriched_from_record(rec: dict) -> dict:
     doc_id, section_index, _ = parse_chunk_id(rec["chunk_id"])
     if rec["strategy"] not in STRATEGY_KINDS:
         raise ValueError(f"unknown strategy {rec['strategy']!r}")
+    tokens = json_field(rec, "tokens", list[str])
+    if not tokens:
+        raise ValueError("tokens: expected a non-empty JSON array of strings")
     return {
         "chunk_id": rec["chunk_id"],
         "doc_id": doc_id,
         "section_index": section_index,
         "strategy": rec["strategy"],
         "cir": json_field(rec, "cir", float),
-        "tokens": json_field(rec, "tokens", list[str]),
+        "tokens": tokens,
     }
 
 
@@ -356,7 +354,7 @@ def read_enriched(path: str | Path) -> list[dict]:
     """Read an enriched dump; returns raw records with parsed chunk ids.
 
     A strategy that is not one of ``STRATEGY_KINDS``, a cir that is not a
-    JSON number, or tokens that are not an array of strings is a
+    JSON number, or tokens that are not a non-empty array of strings is a
     CorpusFormatError naming the line.
     """
     return read_jsonl(path, _enriched_from_record, unique="chunk_id")

@@ -274,6 +274,39 @@ def test_report_reproduces_sweep_files(tmp_path):
         assert {name: (target / name).read_bytes() for name in expected} == expected
 
 
+@pytest.mark.parametrize(
+    ("key", "value", "message"),
+    [
+        ("bogus", "a\nbaseline,9,9,9,9,9,9", "unknown key 'bogus'"),
+        ("seed", "forty-two", "seed: expected a JSON integer, got 'forty-two'"),
+        ("t_max", 5.0, "t_max: must lie in (0, 1)"),
+    ],
+)
+def test_report_refuses_a_sweep_file_whose_run_config_is_bad(tmp_path, capsys, key, value, message):
+    out = tmp_path / "out"
+    assert main(["sweep", *SMALL, "--out-dir", str(out)]) == EXIT_OK
+    sweep = out / "sweep.jsonl"
+    header, rest = sweep.read_text().split("\n", 1)
+    sweep.write_text(json.dumps({**json.loads(header), key: value}) + "\n" + rest)
+    capsys.readouterr()
+    for fmt in ("csv", "jsonl", "plotdata"):
+        argv = ["report", "--sweep", str(sweep), "--format", fmt, "--out-dir", str(tmp_path / fmt)]
+        assert main(argv) == EXIT_FORMAT
+        assert capsys.readouterr().err == f"error: {sweep}: run_config: {message}\n"
+        assert not (tmp_path / fmt).exists()
+
+
+def test_report_of_a_sweep_file_without_run_config_writes_no_comment_lines(tmp_path):
+    out = tmp_path / "out"
+    assert main(["sweep", *SMALL, "--out-dir", str(out)]) == EXIT_OK
+    sweep = out / "sweep.jsonl"
+    sweep.write_text(sweep.read_text().split("\n", 1)[1])
+    for fmt in ("csv", "jsonl"):
+        assert main(["report", "--sweep", str(sweep), "--format", fmt, "--out-dir", str(tmp_path / "again")]) == EXIT_OK
+    assert "#" not in (tmp_path / "again" / "sweep.csv").read_text()
+    assert (tmp_path / "again" / "sweep.jsonl").read_bytes() == sweep.read_bytes()
+
+
 def test_out_dir_env_is_read_on_each_call(tmp_path, monkeypatch):
     for name in ("a", "b"):
         monkeypatch.setenv("CIRBENCH_OUT_DIR", str(tmp_path / name))

@@ -351,10 +351,20 @@ def _first_draws_repeat(config: EmbedderConfig, token: str) -> bool:
 def test_bulk_hash_matches_scalar_hash(dim, hash_seed):
     emb = Embedder(EmbedderConfig(dim=dim, hash_seed=hash_seed))
     assert any(_first_draws_repeat(emb.config, token) for token in HASH_TOKENS)  # the redraw loop runs
-    idx, sign = emb._hash_many(HASH_TOKENS)
+    codes = emb._hash_many(HASH_TOKENS)
+    assert codes.dtype == np.uint32 and codes.shape == (len(HASH_TOKENS), NONZEROS_PER_TOKEN)
+    assert codes.max() < 2 * dim
     for row, token in enumerate(HASH_TOKENS):
-        indices, signs = emb._hash(token)
-        assert idx[row].tolist() == indices and sign[row].tolist() == signs, token
+        assert codes[row].tolist() == emb._hash(token), token
+        assert len(set((codes[row] % dim).tolist())) == NONZEROS_PER_TOKEN, token
+
+
+def test_codes_at_the_largest_dim_fit_the_uint32_table():
+    emb = Embedder(EmbedderConfig(dim=1 << 31, hash_seed=5))
+    codes = emb._hash_many(HASH_TOKENS)
+    assert codes.dtype == np.uint32 and 1 << 31 <= codes.max() < 1 << 32  # some codes carry a -1 sign
+    for row, token in enumerate(HASH_TOKENS):
+        assert codes[row].tolist() == emb._hash(token), token
 
 
 def test_registrations_either_side_of_the_bulk_crossover_give_equal_rows(monkeypatch):
@@ -373,8 +383,7 @@ def test_registrations_either_side_of_the_bulk_crossover_give_equal_rows(monkeyp
     assert bulk_sizes == [BULK_HASH_MIN]  # just below the crossover hashes one by one, at it in bulk
     scalar.register(tokens[-1:])
     for token in tokens:
-        assert np.array_equal(scalar._idx[scalar._row[token]], bulk._idx[bulk._row[token]])
-        assert np.array_equal(scalar._sign[scalar._row[token]], bulk._sign[bulk._row[token]])
+        assert np.array_equal(scalar._codes[scalar._row[token]], bulk._codes[bulk._row[token]])
 
 
 def _many_new_tokens() -> list[str]:
@@ -387,8 +396,7 @@ def test_registration_slices_give_the_scalar_hash_rows():
     token_at = {row: token for token, row in emb._row.items()}
     edges = range(POOL_TOKENS, len(token_at), POOL_TOKENS)
     for row in {0, len(token_at) - 1, *edges, *(edge - 1 for edge in edges)}:
-        indices, signs = emb._hash(token_at[row])
-        assert emb._idx[row].tolist() == indices and emb._sign[row].tolist() == signs, row
+        assert emb._codes[row].tolist() == emb._hash(token_at[row]), row
 
 
 def test_registration_memory_is_bounded_by_a_slice_not_by_the_new_token_count():

@@ -313,6 +313,22 @@ def test_an_enriched_or_report_field_of_the_wrong_json_type_fails_naming_its_lin
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["chunks", "enriched"])
+def test_an_empty_tokens_array_fails_naming_its_line(tmp_path, capsys, small_corpus, kind):
+    corpus, path, out = tmp_path / "corpus.jsonl", tmp_path / f"{kind}.jsonl", tmp_path / "out"
+    _write("corpus", corpus, small_corpus)
+    _write(kind, path, small_corpus)
+    lineno = _replace_in_file(path, "tokens", [])
+    argv = {
+        "chunks": ["inject", "--corpus", str(corpus), "--chunks", str(path), "--strategy", "low", "--out", str(out)],
+        "enriched": ["embed", "--enriched", str(path), "--out", str(out)],
+    }[kind]
+    assert main(argv) == EXIT_FORMAT
+    message = "bad record (ValueError: tokens: expected a non-empty JSON array of strings)"
+    assert f"error: {path}: line {lineno}: {message}\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
 _NOT_JSON = [(float("nan"), "NaN"), (float("inf"), "Infinity"), (float("-inf"), "-Infinity")]
 
 
