@@ -96,13 +96,19 @@ def write_chunks(chunks: Iterable[Chunk], path: str | Path, header: dict | None 
     write_jsonl(path, records, header)
 
 
+def record_tokens(rec: dict) -> list[str]:
+    """A chunks or enriched record's ``tokens``: a non-empty JSON array of strings, else ValueError."""
+    tokens = json_field(rec, "tokens", list[str])
+    if not tokens:
+        raise ValueError("tokens: expected a non-empty JSON array of strings")
+    return tokens
+
+
 def _chunk_from_record(rec: dict) -> Chunk:
     doc_id, section_index, _ = parse_chunk_id(rec["chunk_id"])
     if rec["doc_id"] != doc_id:
         raise ValueError(f"doc_id {rec['doc_id']!r} disagrees with chunk id {rec['chunk_id']!r}")
-    tokens = json_field(rec, "tokens", list[str])
-    if not tokens:
-        raise ValueError("tokens: expected a non-empty JSON array of strings")
+    tokens = record_tokens(rec)
     return Chunk(
         chunk_id=rec["chunk_id"],
         doc_id=doc_id,

@@ -18,8 +18,9 @@ output path that is a directory or lies under a regular file among them),
 a regular file, 4 format/parse error (including bytes that are not UTF-8,
 an unknown key or an out-of-range value in a config file or in an input's
 run_config header, ``report``'s sweep file included, an empty ``tokens``
-array, an index whose dim no embedder takes, and an enriched chunk that an
-index file cannot hold), 1 any other failure.
+array, a chunks record that is not its corpus's chunk, an index whose dim
+no embedder takes, and an enriched chunk that an index file cannot hold),
+1 any other failure.
 """
 
 from __future__ import annotations
@@ -118,16 +119,20 @@ def _resolve(args: argparse.Namespace, inherit_from: str | None = None) -> dict:
             resolved[key] = flag
     if resolved["hash_seed"] is None:
         resolved["hash_seed"] = fork_seed(resolved["seed"], "embed") % (1 << 62)
-    resolved["strategies"] = ",".join(s.strip() for s in resolved["strategies"].split(",") if s.strip())
+    resolved["strategies"] = ",".join(_strategy_kinds(resolved))
     return resolved
+
+
+def _strategy_kinds(resolved: dict) -> list[str]:
+    """The kinds the comma-separated strategies value of *resolved* lists, blanks dropped."""
+    return [kind.strip() for kind in resolved["strategies"].split(",") if kind.strip()]
 
 
 def _check_ranges(resolved: dict) -> None:
     """Build every library object the values of *resolved* configure; an out-of-range value raises its ConfigError."""
     _corpus_config(resolved).validate()
     EmbedderConfig(resolved["dim"], resolved["hash_seed"] or 0)  # None: forked later, from the seed
-    kinds = [kind.strip() for kind in resolved["strategies"].split(",") if kind.strip()]
-    for kind in kinds or STRATEGY_KINDS:  # t_max is checked even when no kind is listed
+    for kind in _strategy_kinds(resolved) or STRATEGY_KINDS:  # t_max is checked even when no kind is listed
         InjectionStrategy(kind, resolved["t_max"])
 
 
@@ -163,9 +168,19 @@ def cmd_inject(args: argparse.Namespace) -> int:
     docs, _ = deserialize_corpus(args.corpus)
     doc_by_id = {d.doc_id: d for d in docs}
     chunks = read_chunks(args.chunks)
-    missing = sorted({c.doc_id for c in chunks if c.doc_id not in doc_by_id})
-    if missing:
-        raise FormatError(f"{args.chunks}: chunks reference unknown documents {missing[:3]}")
+    # The output takes each record's heading path and tokens, so each must be
+    # its corpus's chunk. One document's chunks are held at a time.
+    target, doc_chunks = resolved["chunk_target"], {}
+    for chunk in chunks:
+        if chunk.chunk_id not in doc_chunks and chunk.doc_id in doc_by_id:
+            doc_chunks = {c.chunk_id: c for c in chunk_document(doc_by_id[chunk.doc_id], target)}
+        corpus_chunk = doc_chunks.get(chunk.chunk_id)  # None: no chunk of the corpus has this id
+        for field in ("chunk_id", "heading_path", "tokens"):
+            if getattr(corpus_chunk, field, None) != getattr(chunk, field):
+                raise FormatError(
+                    f"{args.chunks}: chunk {chunk.chunk_id!r}: {field} disagrees with the corpus chunked at "
+                    f"chunk_target {target}"
+                )
     strat = InjectionStrategy(args.strategy, resolved["t_max"])
     enriched = [enrich(c, build_context(doc_by_id[c.doc_id], c, strat)) for c in chunks]
     write_enriched(enriched, strat.kind, args.out, header=resolved)
@@ -213,7 +228,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     resolved = _resolve(args)
-    strategies = [InjectionStrategy(kind, resolved["t_max"]) for kind in resolved["strategies"].split(",") if kind]
+    strategies = [InjectionStrategy(kind, resolved["t_max"]) for kind in _strategy_kinds(resolved)]
     embed_config = EmbedderConfig(dim=resolved["dim"], hash_seed=resolved["hash_seed"])
     for fmt in ("csv", "jsonl"):
         check_target(Path(_out_dir(args)) / f"sweep.{fmt}")

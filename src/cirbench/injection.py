@@ -6,11 +6,9 @@ the block from the chunk length; the adaptive strategy ("ddai") instead
 caps the block so the ratio never exceeds a threshold, filling hierarchy
 first and summary second, with no padding and no metadata.
 
-``context_layout`` is the one place a block is sized: it gives each
-piece's length over the section's ``ContextSources``. ``block_pieces`` is
-the one definition of the block: an ordered list of pieces, each a source
-field, a stop and a number of copies, so that the block is
-``sources.<field>[:stop]`` repeated ``copies`` times, piece after piece.
+``block_pieces`` is the one definition of a block: it sizes the block over
+the section's ``ContextSources`` and cuts it into its pieces in order, each
+a leading slice of one source list and a number of copies.
 ``build_context`` expands the pieces into tokens; ``EnrichedSums`` turns
 the same pieces into sums; ``effective_lambda`` measures the context's
 mixing weight in an embedding.
@@ -36,7 +34,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from ._io import json_field, read_jsonl, write_jsonl
-from .chunking import Chunk, parse_chunk_id
+from .chunking import Chunk, parse_chunk_id, record_tokens
 from .corpus import Document
 from .embedding import Embedder, EmbedderConfig, get_embedder, unit_rows
 from .errors import ConfigError, DegenerateMixError
@@ -193,71 +191,41 @@ def context_sources(doc: Document, chunk: Chunk) -> ContextSources:
     return ContextSources(hierarchy, digest, metadata_tokens(doc), pool)
 
 
-class ContextLayout(NamedTuple):
-    """A context block as the lengths of its pieces, each cut from a ContextSources list."""
+def block_pieces(sources: ContextSources, chunk_len: int, strat: InjectionStrategy) -> list[tuple[Sequence, int]]:
+    """The context block of a *chunk_len*-token chunk under *strat*, as its five pieces in order.
 
-    hierarchy: int = 0
-    summary: int = 0
-    metadata: int = 0
-    padding: int = 0
-
-    @property
-    def length(self) -> int:
-        return self.hierarchy + self.summary + self.metadata + self.padding
-
-
-def context_layout(sources: ContextSources, chunk_len: int, strat: InjectionStrategy) -> ContextLayout:
-    """Size the context block of a *chunk_len*-token chunk under *strat*.
-
-    Static strategies fill hierarchy, then summary (up to the strategy's
-    budget), then metadata (overload only), then pad by cycling the pad pool
-    until the target band is reached. The adaptive strategy stops at its
-    ratio budget with no padding.
+    A piece ``(cut, copies)`` stands for ``copies`` copies of ``cut``, a
+    leading slice of one source. Static strategies fill hierarchy, then
+    summary (up to the strategy's budget), then metadata (overload only),
+    then pad by cycling the pad pool until the target band is reached. The
+    adaptive strategy stops at its ratio budget with no padding. The block
+    is the hierarchy cut, then the padding (whole pad-pool copies, then the
+    pool's first tokens), then the digest cut, then the metadata cut.
     """
+    hierarchy, digest, metadata, pool = sources
     if strat.kind == "baseline":
-        return ContextLayout()
-    if strat.kind == "ddai":
+        total = 0
+    elif strat.kind == "ddai":
         total = ddai_budget(chunk_len, strat.t_max)
     else:
-        assert strat.target_cir is not None
-        total = round(strat.target_cir / (1.0 - strat.target_cir) * chunk_len)
-    h = min(len(sources.hierarchy), total)
-    s = min(len(sources.digest), strat.summary_budget, total - h)
-    if strat.kind == "ddai":
-        return ContextLayout(h, s)
-    m = min(len(sources.metadata), total - h - s) if strat.kind == "overload" else 0
-    return ContextLayout(h, s, m, total - h - s - m)
-
-
-def block_pieces(sources: ContextSources, chunk_len: int, strat: InjectionStrategy) -> list[tuple[str, int, int]]:
-    """The context block of a *chunk_len*-token chunk under *strat*, as its pieces in order.
-
-    A piece ``(field, stop, copies)`` stands for ``copies`` copies of
-    ``sources.<field>[:stop]``. The block is ``hierarchy[:hierarchy]``, then
-    ``padding`` tokens cycled from the pad pool (whole copies, then its
-    first tokens), then ``digest[:summary]``, then ``metadata[:metadata]``,
-    with the lengths of ``context_layout``.
-    """
-    lay = context_layout(sources, chunk_len, strat)
-    cycles, rest = divmod(lay.padding, len(sources.pad_pool))
-    return [
-        ("hierarchy", lay.hierarchy, 1),
-        ("pad_pool", len(sources.pad_pool), cycles),
-        ("pad_pool", rest, 1),
-        ("digest", lay.summary, 1),
-        ("metadata", lay.metadata, 1),
-    ]
+        band = _TARGET_CIR[strat.kind]
+        total = round(band / (1.0 - band) * chunk_len)
+    h = min(len(hierarchy), total)
+    s = min(len(digest), strat.summary_budget, total - h)
+    m = min(len(metadata), total - h - s) if strat.kind == "overload" else 0
+    padding = 0 if strat.kind == "ddai" else total - h - s - m
+    cycles, rest = divmod(padding, len(pool))
+    return [(hierarchy[:h], 1), (pool, cycles), (pool[:rest], 1), (digest[:s], 1), (metadata[:m], 1)]
 
 
 def build_context(doc: Document, chunk: Chunk, strat: InjectionStrategy) -> list[str]:
     """The context block's tokens for *chunk* under *strat*: its pieces, expanded."""
-    sources = context_sources(doc, chunk)
     out: list[str] = []
-    for source, stop, copies in block_pieces(sources, chunk.length, strat):
-        if copies == 1:  # no list product: it would copy the slice once more
-            out += getattr(sources, source)[:stop]
+    for cut, copies in block_pieces(context_sources(doc, chunk), chunk.length, strat):
+        if copies == 1:  # no list product: it would copy the cut once more
+            out += cut
         elif copies:
-            out += getattr(sources, source)[:stop] * copies
+            out += cut * copies
     return out
 
 
@@ -268,10 +236,10 @@ class EnrichedSums:
     and holds each section's ``context_sources`` as token-table rows: the
     heading path and the pad pool per section, and one digest and one
     metadata row array per document, shared by its sections. ``vectors``
-    sums each distinct block (one per section and chunk length) from its
-    ``block_pieces``: one ``Embedder.sum_rows`` call over the rows of its
-    single-copy pieces, plus ``copies`` times the pool's sum for a piece of
-    whole pad-pool cycles. No block is built as tokens.
+    sums each distinct block (one per section and chunk length) from the
+    row cuts of its ``block_pieces``: one ``Embedder.sum_rows`` call over
+    its single-copy cuts, plus ``copies`` times the pool's sum for the
+    piece of whole pad-pool cycles. No block is built as tokens.
     """
 
     def __init__(self, chunks: Sequence[Chunk], doc_by_id: dict[str, Document], embedder: Embedder):
@@ -298,16 +266,12 @@ class EnrichedSums:
         sums = np.empty((len(block_of), self._embedder.config.dim))
         lengths = np.empty(len(block_of), np.intp)
         for (doc_id, section_index, chunk_len), block in block_of.items():
-            sources = self._sources[doc_id, section_index]
-            cuts = [
-                (getattr(sources, source)[:stop], copies)
-                for source, stop, copies in block_pieces(sources, chunk_len, strat)
-            ]
-            sums[block] = self._embedder.sum_rows(np.concatenate([cut for cut, copies in cuts if copies == 1]))
-            for cut, copies in cuts:
+            pieces = block_pieces(self._sources[doc_id, section_index], chunk_len, strat)
+            sums[block] = self._embedder.sum_rows(np.concatenate([cut for cut, copies in pieces if copies == 1]))
+            for cut, copies in pieces:
                 if copies > 1:
                     sums[block] += copies * self._embedder.sum_rows(cut)
-            lengths[block] = sum(len(cut) * copies for cut, copies in cuts)
+            lengths[block] = sum(len(cut) * copies for cut, copies in pieces)
         context_lengths = lengths[rows].tolist()
         out = sums[rows]
         out += self._chunk_sums
@@ -337,9 +301,7 @@ def _enriched_from_record(rec: dict) -> dict:
     doc_id, section_index, _ = parse_chunk_id(rec["chunk_id"])
     if rec["strategy"] not in STRATEGY_KINDS:
         raise ValueError(f"unknown strategy {rec['strategy']!r}")
-    tokens = json_field(rec, "tokens", list[str])
-    if not tokens:
-        raise ValueError("tokens: expected a non-empty JSON array of strings")
+    tokens = record_tokens(rec)
     return {
         "chunk_id": rec["chunk_id"],
         "doc_id": doc_id,

@@ -558,7 +558,32 @@ def test_inject_refuses_chunks_of_a_document_the_corpus_lacks(tmp_path, capsys):
     write_chunks([Chunk(make_chunk_id("normative-0099", 0, 0), "normative-0099", 0, ["h"], ["a", "b"])], chunks)
     argv = ["inject", "--corpus", str(corpus), "--chunks", str(chunks), "--strategy", "low", "--out", str(enriched)]
     assert main(argv) == EXIT_FORMAT
-    assert "unknown documents ['normative-0099']" in capsys.readouterr().err
+    message = "chunk 'normative-0099:s000:t00000': chunk_id disagrees with the corpus chunked at chunk_target 250"
+    assert f"error: {chunks}: {message}\n" == capsys.readouterr().err
+    assert not enriched.exists()
+
+
+@pytest.mark.parametrize(
+    ("edit", "field"), [("made-up section", "chunk_id"), ("heading path", "heading_path"), ("token", "tokens")]
+)
+def test_inject_refuses_a_chunk_its_corpus_does_not_chunk_to(tmp_path, capsys, edit, field):
+    corpus, chunks, enriched = (tmp_path / name for name in ("corpus.jsonl", "chunks.jsonl", "enriched.jsonl"))
+    assert main(["gen", *SMALL, "--out", str(corpus)]) == EXIT_OK
+    assert main(["chunk", "--corpus", str(corpus), "--out", str(chunks)]) == EXIT_OK
+    header, first, rest = chunks.read_text().split("\n", 2)
+    record = json.loads(first)
+    if edit == "made-up section":
+        record["chunk_id"] = make_chunk_id(record["doc_id"], 99, 0)
+    if edit != "token":
+        record["heading_path"] = ["made", "up"]
+    else:
+        record["tokens"][7] += "x"
+    chunks.write_text("\n".join([header, json.dumps(record), rest]))
+    capsys.readouterr()
+    argv = ["inject", "--corpus", str(corpus), "--chunks", str(chunks), "--strategy", "high", "--out", str(enriched)]
+    assert main(argv) == EXIT_FORMAT
+    message = f"chunk {record['chunk_id']!r}: {field} disagrees with the corpus chunked at chunk_target 250"
+    assert f"error: {chunks}: {message}\n" == capsys.readouterr().err
     assert not enriched.exists()
 
 

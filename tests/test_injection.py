@@ -27,7 +27,7 @@ from cirbench.embedding import Embedder, EmbedderConfig
 from cirbench.errors import ConfigError
 from cirbench.injection import (
     EnrichedSums,
-    context_layout,
+    block_pieces,
     context_sources,
     document_digest,
     hierarchy_tokens,
@@ -35,6 +35,12 @@ from cirbench.injection import (
     read_enriched,
     write_enriched,
 )
+
+
+def _piece_lengths(pieces) -> tuple[int, int, int, int]:
+    """A block's hierarchy, summary, metadata and padding lengths, read from its ``block_pieces``."""
+    (hierarchy, _), (pool, cycles), (rest, _), (summary, _), (metadata, _) = pieces
+    return len(hierarchy), len(summary), len(metadata), len(pool) * cycles + len(rest)
 
 
 def _doc_and_chunk(n_tokens: int, heading_path: list[str]) -> tuple[Document, Chunk]:
@@ -150,8 +156,8 @@ def test_ddai_small_chunk_truncates_hierarchy():
     assert len(ctx) <= 16
     base = [t for h in heading_path for t in h.split()]
     assert ctx == base[: len(ctx)]
-    lay = context_layout(context_sources(doc, chunk), chunk.length, strategy("ddai", t_max=0.35))
-    assert (lay.hierarchy, lay.summary, lay.metadata, lay.padding) == (len(ctx), 0, 0, 0)
+    pieces = block_pieces(context_sources(doc, chunk), chunk.length, strategy("ddai", t_max=0.35))
+    assert _piece_lengths(pieces) == (len(ctx), 0, 0, 0)
 
 
 def test_ddai_fill_is_hierarchy_first_then_summary():
@@ -239,7 +245,7 @@ def _reference_block(
 ) -> tuple[list[str], list[str], list[str]]:
     """The block built token by token, as (hierarchy plus padding, summary, metadata).
 
-    A reference for build_context and context_layout that shares none of their sizing code.
+    A reference for build_context and block_pieces that shares none of their sizing code.
     """
     if strat.kind == "baseline":
         return [], [], []
@@ -291,20 +297,20 @@ def test_layout_reproduces_token_built_blocks_and_sweep_sums_reproduce_embedding
         for c in chunks:
             doc = doc_by_id[c.doc_id]
             src = context_sources(doc, c)
-            lay = context_layout(src, c.length, strat)
+            hierarchy, summary, metadata, padding = _piece_lengths(block_pieces(src, c.length, strat))
             ctx = build_context(doc, c, strat)
             h, s, m = _reference_block(doc, c, strat)
             assert ctx == h + s + m
-            assert (lay.hierarchy + lay.padding, lay.summary, lay.metadata) == (len(h), len(s), len(m))
+            assert (hierarchy + padding, summary, metadata) == (len(h), len(s), len(m))
             enriched.append(enrich(c, ctx))
-            if lay.padding >= len(src.pad_pool):
+            if padding >= len(src.pad_pool):
                 reached.add("full pad cycle")
-            if 0 < lay.metadata < len(src.metadata):
+            if 0 < metadata < len(src.metadata):
                 reached.add("metadata cut")
-            unbounded = min(len(src.hierarchy) + len(src.digest), lay.hierarchy + strat.summary_budget)
-            if strat.kind == "ddai" and lay.length < unbounded:
+            unbounded = min(len(src.hierarchy) + len(src.digest), hierarchy + strat.summary_budget)
+            if strat.kind == "ddai" and hierarchy + summary + metadata + padding < unbounded:
                 reached.add("ddai budget cut")
-            if lay.padding and not src.hierarchy and not src.digest:
+            if padding and not src.hierarchy and not src.digest:
                 reached.add(f"pad pool {src.pad_pool}")
         vectors, cirs = sums.vectors(strat)
         assert vectors.tobytes() == embedder.embed_many([e.tokens for e in enriched]).tobytes()
