@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import os
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TypeVar
@@ -26,9 +27,26 @@ def _refuse_constant(name: str) -> NoReturn:
     raise ValueError(f"{name} is not JSON")
 
 
-# Python's json reads and writes NaN, Infinity and -Infinity by default;
-# these two refuse them, so what one stage writes the next can read.
-_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"number {text} is too large for a float")
+    return value
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(key for key in keys if keys.count(key) > 1)!r}")
+    return obj
+
+
+# Python's json reads and writes NaN, Infinity and -Infinity by default, reads
+# a number past the float range as infinite, and keeps the last of repeated
+# keys; these two refuse all of it, so what one stage writes the next can
+# read, and a record's checks see every value it holds.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys, parse_float=_finite_float, parse_constant=_refuse_constant)
 _ENCODER = json.JSONEncoder(allow_nan=False)
 
 
@@ -116,12 +134,13 @@ def _lines(path: str | Path) -> Iterator[tuple[int, str]]:
 def _decode(path: str | Path, lineno: int, line: str):
     """The JSON value of line *lineno*; bad JSON is a CorpusFormatError naming the path and the line.
 
-    ``NaN`` and ``Infinity`` are bad JSON, and so is nesting past the
+    ``NaN`` and ``Infinity`` are bad JSON, and so are a number too large
+    for a float, an object that repeats a key, and nesting past the
     interpreter's recursion limit.
     """
     try:
         return _DECODER.decode(line)
-    except ValueError as exc:  # a JSONDecodeError, or a constant _refuse_constant refused
+    except ValueError as exc:  # a JSONDecodeError, or a value one of _DECODER's hooks refused
         raise CorpusFormatError(f"{path}: line {lineno}: {getattr(exc, 'msg', exc)}") from exc
     except RecursionError as exc:
         raise CorpusFormatError(f"{path}: line {lineno}: JSON nested too deeply to parse") from exc
@@ -131,11 +150,11 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T], unique: str | None 
     """Map every record of a JSONL file through *parse*, in file order.
 
     Blank lines and a ``run_config`` record on the first non-blank line are
-    skipped. Bytes that are not UTF-8, bad JSON (``NaN`` and ``Infinity``
-    included), a line that is not an object, a ``run_config`` record on a
-    later line, a record that *parse* rejects with KeyError, TypeError or
-    ValueError, and a record whose *unique* field repeats an earlier
-    record's all raise CorpusFormatError naming the path and the line number.
+    skipped. Bytes that are not UTF-8, bad JSON (as ``_decode`` reads it),
+    a line that is not an object, a ``run_config`` record on a later line, a
+    record that *parse* rejects with KeyError, TypeError or ValueError, and
+    a record whose *unique* field repeats an earlier record's all raise
+    CorpusFormatError naming the path and the line number.
     """
     out: list[T] = []
     first_line: dict = {}

@@ -16,10 +16,12 @@ Exit codes: 0 success, 2 invalid flags or out-of-range flag values (an
 output path that is a directory or lies under a regular file among them),
 3 missing input file, or an input path that is a directory or lies under
 a regular file, 4 format/parse error (including bytes that are not UTF-8,
-an unknown key or an out-of-range value in a config file or in an input's
-run_config header, ``report``'s sweep file included, an empty ``tokens``
-array, a chunks record that is not its corpus's chunk, an index whose dim
-no embedder takes, and an enriched chunk that an index file cannot hold),
+an unknown key, a repeated key or an out-of-range value in a config file
+or in an input's run_config header, ``report``'s sweep file included, a
+JSON object that repeats a key or holds a number too large for a float,
+an empty ``tokens`` array, a chunks record that is not its corpus's
+chunk, an index whose dim no embedder takes, and an enriched chunk that
+an index file cannot hold),
 1 any other failure.
 """
 
@@ -85,6 +87,8 @@ def _load_config_file(path: str) -> dict:
         if "=" not in line:
             raise FormatError(f"{path}: line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise FormatError(f"{path}: line {lineno}: repeated key {key!r}")
         try:
             values[key] = _FIELDS[key][0](value) if key in _FIELDS else value
         except ValueError as exc:

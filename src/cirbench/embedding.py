@@ -14,17 +14,16 @@ plus ``dim`` if the component is -1. ``rows`` gives tokens' rows, and
 ``sum_rows`` sums the token vectors at given rows by one unweighted
 ``np.bincount`` of their codes, the lower ``dim`` counts less the upper.
 ``sum_many`` pools each text with one ``sum_rows`` call of its own;
-``mean_vector`` is its one-text case, and ``embed_many`` normalizes its
-rows with ``unit_rows``.
+``mean_vector`` is its one-text case. ``embed_many`` averages its rows and
+normalizes them with ``unit_rows``, the one normalizer, and ``embed`` is
+``embed_many``'s one-text case.
 
-Tokens are registered in bulk: the new tokens of one call are hashed by
-numpy kernels over ``uint64`` arrays (``_hash.fnv1a64_many``,
-``_hash.splitmix64_many``), at most ``POOL_TOKENS`` new tokens per numpy
-pass. A call with fewer than ``BULK_HASH_MIN`` new tokens, such as a
-query's, hashes them one by one in Python instead: a numpy pass has a
-fixed cost of about that many scalar hashes. Both paths compute the one
-definition below, so a token's row does not depend on which path
-registered it.
+Every new token is hashed by numpy kernels over ``uint64`` arrays
+(``_hash.fnv1a64_many``, ``_hash.splitmix64_many``), at most
+``POOL_TOKENS`` new tokens per numpy pass, however few a call brings.
+``Embedder._hash`` states the same definition one token at a time in plain
+Python: it is the reference the kernels are tested against, and nothing
+registers a token through it.
 
 Token hashing, bit-exact, once per distinct token:
 
@@ -51,9 +50,6 @@ from ._hash import fnv1a64, fnv1a64_many, splitmix64, splitmix64_many
 from .errors import ConfigError, DegenerateMixError, EmbeddingError
 
 NONZEROS_PER_TOKEN = 4
-# A registration of fewer new tokens hashes them one by one: a numpy pass
-# costs about as much as hashing this many tokens in Python.
-BULK_HASH_MIN = 32
 # The most new tokens register hashes with one numpy pass; bounds its temporaries.
 POOL_TOKENS = 1 << 14
 
@@ -123,11 +119,7 @@ class Embedder:
 
     def register(self, tokens: Iterable[str]) -> None:
         """Add every token of *tokens* that the table lacks, at most ``POOL_TOKENS`` new tokens per numpy pass."""
-        new = set(tokens)
-        if len(self._row) < len(new):
-            new.difference_update(self._row)  # walks the table, and makes no second set
-        else:
-            new = new.difference(self._row)  # walks the tokens, not the larger table
+        new = set(tokens).difference(self._row)
         if not new:
             return
         # np.resize copies and a token is registered after its row is written: readers see whole rows.
@@ -136,13 +128,9 @@ class Embedder:
             start, end = len(self._row), len(self._row) + len(new)
             if end > len(self._codes):
                 self._codes = np.resize(self._codes, (max(end, 2 * len(self._codes)), NONZEROS_PER_TOKEN))
-            if len(new) < BULK_HASH_MIN:
-                for r, tok in enumerate(new, start):
-                    self._codes[r] = self._hash(tok)
-            else:
-                for lo in range(0, len(new), POOL_TOKENS):
-                    rows = slice(start + lo, min(start + lo + POOL_TOKENS, end))
-                    self._codes[rows] = self._hash_many(new[lo : lo + POOL_TOKENS])
+            for lo in range(0, len(new), POOL_TOKENS):
+                rows = slice(start + lo, min(start + lo + POOL_TOKENS, end))
+                self._codes[rows] = self._hash_many(new[lo : lo + POOL_TOKENS])
             self._row.update(zip(new, range(start, end)))
 
     def token_vector(self, token: str) -> np.ndarray:
@@ -158,8 +146,8 @@ class Embedder:
         return self.sum_many([tokens])[0] / len(tokens)
 
     def embed(self, tokens: list[str]) -> np.ndarray:
-        """L2-normalized mean of the token vectors; order-insensitive."""
-        return unit(self.mean_vector(tokens))
+        """``embed_many``'s one-text case: the L2-normalized mean of the token vectors, order-insensitive."""
+        return self.embed_many([tokens])[0]
 
     def rows(self, tokens: Sequence[str]) -> np.ndarray:
         """Each token's row in the table, in order; new tokens are registered first."""
@@ -192,7 +180,7 @@ class Embedder:
         return out
 
     def embed_many(self, token_lists: list[list[str]]) -> np.ndarray:
-        """``embed`` of each token list, one row each, bit for bit: ``sum_many``'s rows, averaged and normalized."""
+        """Each list's L2-normalized mean token vector, one row each: ``sum_many``'s rows, averaged and normalized."""
         lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=len(token_lists))
         if lengths.size and lengths.min() == 0:
             raise EmbeddingError("cannot embed an empty token sequence")
@@ -201,20 +189,12 @@ class Embedder:
         return unit_rows(out)
 
 
-def unit(acc: np.ndarray) -> np.ndarray:
-    """*acc* scaled to unit L2 norm; a zero vector raises EmbeddingError."""
-    norm = float(np.linalg.norm(acc))
-    if norm == 0.0:
-        raise EmbeddingError("degenerate zero embedding for non-empty input")
-    return acc / norm
-
-
 def unit_rows(acc: np.ndarray) -> np.ndarray:
-    """Each row of *acc* scaled to unit L2 norm in place, bit for bit as ``unit`` scales it; returns *acc*.
+    """Each row of *acc* scaled to unit L2 norm in place; returns *acc*.
 
-    Each norm is ``np.linalg.norm``'s, ``sqrt(row @ row)``, taken one row
-    at a time: a batched norm sums in another order. A zero row raises
-    EmbeddingError.
+    Each norm is ``np.linalg.norm``'s of the row alone, ``sqrt(row @ row)``,
+    taken one row at a time: a batched norm sums in another order, and
+    would change the vectors' bits. A zero row raises EmbeddingError.
     """
     norms = np.array([math.sqrt(row.dot(row)) for row in acc])
     if norms.size and norms.min() == 0.0:

@@ -14,9 +14,10 @@ u16-length-prefixed UTF-8 chunk id, a u16-length-prefixed UTF-8 doc id
 and a u32 section index; then the packed float32 vectors in entry order.
 
 ``load_index`` has two readers of the id table. The column-wise one
-finds the entries' offsets, skipping runs of equal id lengths with numpy
-checks of the length fields, then decodes every id at once; it gives up on
-a cut table or an id that holds a NUL or is not UTF-8. The entry-by-entry
+finds the entries' offsets one run of equal id lengths at a time, with
+numpy checks of the length fields from the run's first entry (``embed``
+writes few, long runs), then decodes every id at once; it gives up on a
+cut table or an id that holds a NUL or is not UTF-8. The entry-by-entry
 walk then reads the table and reports its first defect in file order.
 """
 
@@ -41,8 +42,6 @@ _UNIT_TOL = 1e-4
 _WIDEN_VALUES = 1 << 18
 # The most entries load_index's first check of a run compares; each further check compares twice as many.
 _RUN_WINDOW = 256
-# A run check costs about as much as reading this many entries' lengths in Python.
-_RUN_PAYS = 32
 
 
 class Hit(NamedTuple):
@@ -181,34 +180,19 @@ def save_index(index: VectorIndex, path: str | Path) -> None:
 def _id_runs(data: bytes, offset: int, count: int) -> tuple[list[int], int] | None:
     """The offsets of the id table's runs of entries with equal id lengths, and where the table ends.
 
-    ``_run_length`` checks a run ahead once *need* entries in a row share
-    their lengths, from the second at first; a check that skips fewer than
-    ``_RUN_PAYS`` entries doubles *need*, so short runs cost one Python step
-    per entry. None if the file ends inside the table.
+    ``_run_length`` measures each run from its first entry. None if the file
+    ends inside the table.
     """
     size, run_at, done = len(data), [], 0
-    append = run_at.append
-    last_c = last_d = -1  # the lengths of the entry before
-    streak, need = 0, 2  # entries in a row with those lengths; how many a run check waits for
     try:
         while done < count:
             c = data[offset] | data[offset + 1] << 8
             d = data[offset + 2 + c] | data[offset + 3 + c] << 8
-            append(offset)
-            if c != last_c or d != last_d:
-                last_c, last_d, streak = c, d, 1
-                offset += 8 + c + d
-                done += 1
-            elif streak + 1 < need:
-                streak += 1
-                offset += 8 + c + d
-                done += 1
-            else:
-                stride = 8 + c + d
-                n = _run_length(data, offset, stride, c, d, min(count - done, (size - offset) // stride))
-                need = 2 if n >= _RUN_PAYS else 2 * need
-                offset += n * stride
-                done += n
+            run_at.append(offset)
+            stride = 8 + c + d
+            n = _run_length(data, offset, stride, c, d, min(count - done, (size - offset) // stride))
+            offset += n * stride
+            done += n
     except IndexError:  # a length read past the end of the file
         return None
     return (run_at, offset) if offset <= size else None

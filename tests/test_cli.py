@@ -728,8 +728,12 @@ def test_embed_refuses_an_enriched_chunk_an_index_cannot_hold(tmp_path, capsys, 
 
 @pytest.mark.parametrize(
     "text, message",
-    [("seed = 11\nsedd = 11\n", "unknown key 'sedd'"), ("seed = 11\ndocs = six\n", "line 2: invalid value for docs (")],
-    ids=["an unknown key", "a value that does not convert"],
+    [
+        ("seed = 11\nsedd = 11\n", "unknown key 'sedd'"),
+        ("seed = 11\ndocs = six\n", "line 2: invalid value for docs ("),
+        ("seed = 3\ndocs = 6\nseed = 4\n", "line 3: repeated key 'seed'"),
+    ],
+    ids=["an unknown key", "a value that does not convert", "a repeated key"],
 )
 def test_config_file_errors_name_the_file(tmp_path, capsys, text, message):
     cfg, corpus = tmp_path / "run.cfg", tmp_path / "corpus.jsonl"

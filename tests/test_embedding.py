@@ -21,7 +21,7 @@ from cirbench import (
 )
 from cirbench._hash import fnv1a64, splitmix64
 from cirbench.chunking import Chunk
-from cirbench.embedding import _IDX_SALT, BULK_HASH_MIN, NONZEROS_PER_TOKEN, POOL_TOKENS
+from cirbench.embedding import _IDX_SALT, NONZEROS_PER_TOKEN, POOL_TOKENS
 from cirbench.errors import ConfigError, DegenerateMixError, EmbeddingError
 
 CFG = EmbedderConfig(dim=256, hash_seed=17)
@@ -238,6 +238,8 @@ def test_embedder_golden_vectors():
     assert _sha256(np.stack([emb.mean_vector(t) for t in GOLDEN_LISTS])) == (
         "9fba14c3a6a88ef70301251aeb68d0867fedacf275b8ee3d81a4219676a7a16c"
     )
+    for tokens, row in zip(GOLDEN_LISTS, emb.embed_many(GOLDEN_LISTS)):
+        assert emb.embed(tokens).tobytes() == row.tobytes(), tokens
     for emb in (emb, Embedder(GOLDEN_CFG)):  # a warm table and a fresh one
         assert _sha256(np.stack([emb.token_vector(t) for t in GOLDEN_TOKENS])) == (
             "01a6746cc3a9eff2f4459edee4eca9276c8df299db27710cb6f66121141bb8da"
@@ -303,7 +305,7 @@ def test_concurrent_bulk_registrations_match_serial():
     workers, rounds = 4, 30
 
     def lists(w: int, r: int) -> list[list[str]]:
-        # Workers share most of a round's tokens, and each call brings far more than BULK_HASH_MIN new ones.
+        # Workers share most of a round's tokens, and each call brings dozens of new ones.
         return [[f"b{r}-{(w + i) % 6}-{j}" for j in range(48)] for i in range(4)]
 
     shared = Embedder(CFG)
@@ -367,7 +369,7 @@ def test_codes_at_the_largest_dim_fit_the_uint32_table():
         assert codes[row].tolist() == emb._hash(token), token
 
 
-def test_registrations_either_side_of_the_bulk_crossover_give_equal_rows(monkeypatch):
+def test_small_registrations_hash_through_the_numpy_pass_to_the_scalar_hash_rows(monkeypatch):
     bulk_sizes = []
     hash_many = Embedder._hash_many
 
@@ -376,14 +378,13 @@ def test_registrations_either_side_of_the_bulk_crossover_give_equal_rows(monkeyp
         return hash_many(self, tokens)
 
     monkeypatch.setattr(Embedder, "_hash_many", counted)
-    tokens = [f"x{i}" for i in range(BULK_HASH_MIN)]
-    scalar, bulk = Embedder(CFG), Embedder(CFG)
-    scalar.register(tokens[:-1])
-    bulk.register(tokens)
-    assert bulk_sizes == [BULK_HASH_MIN]  # just below the crossover hashes one by one, at it in bulk
-    scalar.register(tokens[-1:])
+    tokens = [f"x{i}" for i in range(32)]
+    emb = Embedder(CFG)
+    emb.register(tokens[:1])
+    emb.register(tokens)  # the one registered token is not hashed again
+    assert bulk_sizes == [1, 31]
     for token in tokens:
-        assert np.array_equal(scalar._codes[scalar._row[token]], bulk._codes[bulk._row[token]])
+        assert emb._codes[emb._row[token]].tolist() == emb._hash(token), token
 
 
 def _many_new_tokens() -> list[str]:

@@ -35,7 +35,7 @@ from cirbench import (
 )
 from cirbench import __version__
 from cirbench.corpus import SPECIFIC, THEMATIC, corpus_records
-from cirbench.embedding import unit
+from cirbench.embedding import unit_rows
 from cirbench.errors import ConfigError, EmbeddingError
 from cirbench.evaluation import (
     CSV_HEADER,
@@ -402,7 +402,7 @@ def test_sweeps_sharing_a_dim_each_match_a_fresh_process(small_config, small_cor
     "call, error, match",
     [
         (lambda: Embedder(EmbedderConfig()).token_vector(""), EmbeddingError, "empty token"),
-        (lambda: unit(np.zeros(8)), EmbeddingError, "zero embedding"),
+        (lambda: unit_rows(np.zeros((1, 8))), EmbeddingError, "zero embedding"),
         (lambda: dilution_curve(np.ones(8), np.ones(8), -np.ones(8), grid_points=2), ValueError, "grid_points"),
         (lambda: ndcg_at_k(_hits(["a"]), {"a"}, k=0), ValueError, "k must be >= 1"),
         (lambda: recall_at_k(_hits(["a"]), _specific("a"), k=0), ValueError, "k must be >= 1"),

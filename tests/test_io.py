@@ -389,3 +389,38 @@ def test_a_report_number_written_as_an_integer_reads_as_its_float(tmp_path):
     assert '"mean_cir": 0,' in path.read_text()
     assert main(["report", "--sweep", str(path), "--format", "csv", "--out-dir", str(tmp_path / "int")]) == EXIT_OK
     assert (tmp_path / "int" / "sweep.csv").read_bytes() == (tmp_path / "float" / "sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("number", ["1e999", "-1e999"])
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_a_number_past_the_float_range_fails_naming_its_line(tmp_path, capsys, fmt, number):
+    path, out = tmp_path / "sweep.jsonl", tmp_path / "out"
+    _three_row_report(path)
+    lineno = _replace_in_file(path, "homogenization", 0.125)
+    path.write_text(path.read_text().replace('"homogenization": 0.125', f'"homogenization": {number}'))
+    assert main(["report", "--sweep", str(path), "--format", fmt, "--out-dir", str(out)]) == EXIT_FORMAT
+    assert f"error: {path}: line {lineno}: number {number} is too large for a float\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_enriched_record_that_repeats_a_key_fails_naming_its_line_and_key(tmp_path, capsys, small_corpus):
+    path, out = tmp_path / "enriched.jsonl", tmp_path / "out.cirx"
+    _write("enriched", path, small_corpus)
+    lines = path.read_text().splitlines()
+    # Bad values first: read with the last of each repeated key, the record would pass its type checks.
+    lines[1] = '{"cir": "not a number", "tokens": "abc", ' + lines[1][1:]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["embed", "--enriched", str(path), "--out", str(out)]) == EXIT_FORMAT
+    assert f"error: {path}: line 2: repeated key 'cir'\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_chunks_header_that_repeats_a_key_fails_naming_its_line_and_key(tmp_path, capsys, small_corpus):
+    corpus, path, out = tmp_path / "corpus.jsonl", tmp_path / "chunks.jsonl", tmp_path / "out.jsonl"
+    _write("corpus", corpus, small_corpus)
+    _write("chunks", path, small_corpus)
+    path.write_text(path.read_text().replace('"seed": 7', '"seed": 99, "seed": 7', 1))
+    argv = ["inject", "--corpus", str(corpus), "--chunks", str(path), "--strategy", "low", "--out", str(out)]
+    assert main(argv) == EXIT_FORMAT
+    assert f"error: {path}: line 1: repeated key 'seed'\n" == capsys.readouterr().err
+    assert not out.exists()
