@@ -189,7 +189,8 @@ def json_field(rec: dict, key: str, kind, nullable: bool = False):
     Null reads as None only if *nullable*. Types are checked, never
     coerced: a bool is no integer or number, and a string is no array,
     rather than split into its characters. A number (``float``) is an int
-    or a float and reads as a float.
+    or a float and reads as a float; an int past the float range is a
+    ValueError saying it is too large for a float.
     """
     value = rec[key]
     if value is None and nullable:
@@ -198,13 +199,15 @@ def json_field(rec: dict, key: str, kind, nullable: bool = False):
         if type(value) is kind:
             return value
         if kind is float and type(value) is int:
-            return float(value)  # an OverflowError past the float range
+            return float(value)
         if type(value) is list and kind == list[str]:
             "".join(value)  # a TypeError at the first item that is not a string
             return list(value)  # sized to its items: the parsed list keeps its growth slack
         if type(value) is list and kind == list[dict] and all(type(item) is dict for item in value):
             return value
-    except (TypeError, OverflowError):
+    except OverflowError:
+        raise ValueError(f"{key}: number is too large for a float") from None
+    except TypeError:
         pass
     raise ValueError(f"{key}: expected a JSON {_KINDS[kind]}{' or null' if nullable else ''}")
 

@@ -81,7 +81,7 @@ def chunk_document(doc: "Document", target: int) -> list[Chunk]:
                     doc_id=doc.doc_id,
                     section_index=section_index,
                     heading_path=list(section.heading_path),
-                    tokens=list(body[offset : offset + target]),
+                    tokens=body[offset : offset + target],
                 )
             )
     return chunks

@@ -10,7 +10,6 @@ recall.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from .corpus import SPECIFIC, THEMATIC, CorpusConfig, Document, QuerySpec, corpu
 from .embedding import EmbedderConfig, get_embedder
 from .errors import ConfigError, CorpusFormatError
 from .injection import STRATEGY_KINDS, EnrichedSums, InjectionStrategy
-from .retrieval import Hit, build_index, search
+from .retrieval import Hit, VectorIndex, search
 
 # The report's columns in file order, each with the MetricRow field it holds: the
 # strategy first, then five measures, then the one that may be null.
@@ -162,6 +161,8 @@ def _config_digest(documents, queries, strategies, embed_config: EmbedderConfig,
     fed to the hash in pieces, one corpus record at a time, so the corpus is
     never held as one JSON string.
     """
+    import hashlib  # it maps OpenSSL's libcrypto, a few MB of RSS: only a sweep's digest loads it
+
     settings = {
         "version": __version__,
         "dim": embed_config.dim,
@@ -189,10 +190,23 @@ def evaluate_strategy(
     strat: InjectionStrategy,
     doc_rows: dict[str, list[int]],
 ) -> MetricRow:
-    """Embed, index, and score every query for one strategy; *doc_rows* lists each document's chunk rows."""
+    """Embed, index, and score every query for one strategy; *doc_rows* lists each document's chunk rows.
+
+    Homogenization is measured on the float64 vectors. The index is then
+    built from their float32 cast, which it would round them to anyway, and
+    the float64 matrix is dropped first, so one float64 (chunks, dim) matrix
+    is held at a time.
+    """
     vectors, cirs = sums.vectors(strat)
-    entries = [(c.chunk_id, c.doc_id, c.section_index, vectors[i]) for i, c in enumerate(sums.chunks)]
-    index = build_index(entries)
+    homog_values = [homogenization(vectors[rows]) for rows in doc_rows.values() if len(rows) >= 2]
+    vectors = vectors.astype(np.float32)
+    index = VectorIndex(
+        dim=vectors.shape[1],
+        chunk_ids=[c.chunk_id for c in sums.chunks],
+        doc_ids=[c.doc_id for c in sums.chunks],
+        section_indexes=[c.section_index for c in sums.chunks],
+        vectors=vectors,
+    )
     mean_cir = float(np.mean(cirs))
 
     ndcg_values: list[float] = []
@@ -209,8 +223,6 @@ def evaluate_strategy(
                 failures.append((query, ranking[0]))
         else:
             recall_thematic.append(r)
-
-    homog_values = [homogenization(vectors[rows]) for rows in doc_rows.values() if len(rows) >= 2]
 
     return MetricRow(
         strategy=strat.kind,
@@ -268,6 +280,7 @@ def run_sweep(
 
     rows = [evaluate_strategy(sums, queries, query_vectors, strat, doc_rows) for strat in strategies]
     rows.sort(key=lambda r: r.mean_cir)
+    # Keep the digest after the strategy loop: the libcrypto its hashlib maps then lands below the sweep's peak.
     digest = _config_digest(documents, queries, strategies, embed_config, chunk_target)
     return SweepReport(config_digest=digest, rows=rows, flags=sweep_flags(rows))
 

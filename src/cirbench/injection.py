@@ -14,15 +14,17 @@ the same pieces into sums; ``effective_lambda`` measures the context's
 mixing weight in an embedding.
 
 ``EnrichedSums`` embeds by mixing integer sums, not by embedding enriched
-token lists. Each chunk's token vectors are summed once. Each section's
-sources come from ``context_sources`` and are looked up in the token table
-once, the digest and the metadata once per document. Under each strategy,
-a distinct block's sum is one ``np.bincount`` over its single-copy pieces'
-rows, plus ``copies`` times the pad pool's sum for its whole pad-pool
-cycles, which are never built as tokens. An enriched chunk's vector is
-``(chunk_sum + block_sum) / (L_c + L_I)``, normalized. Every component of
-these sums is an integer, so the vector equals ``embed`` of the enriched
-tokens bit for bit.
+token lists. Each chunk's token vectors are summed once, and the sums are
+kept as the narrowest signed integer type that holds plus and minus the
+longest chunk's length, since no component exceeds it in magnitude. Each
+section's sources come from ``context_sources`` and are looked up in the
+token table once, the digest and the metadata once per document. Under
+each strategy, a distinct block's sum is one ``np.bincount`` over its
+single-copy pieces' rows, plus ``copies`` times the pad pool's sum for its
+whole pad-pool cycles, which are never built as tokens. An enriched
+chunk's vector is ``(chunk_sum + block_sum) / (L_c + L_I)``, normalized.
+Every component of these sums is an integer, so the vector equals
+``embed`` of the enriched tokens bit for bit.
 """
 
 from __future__ import annotations
@@ -233,7 +235,10 @@ class EnrichedSums:
     """The sweep's chunk vectors under each strategy, from integer token-vector sums.
 
     ``__init__`` sums each chunk once, by one ``Embedder.sum_many`` call,
-    and holds each section's ``context_sources`` as token-table rows: the
+    and keeps the sums as the narrowest signed integer type that holds plus
+    and minus the longest chunk's length (int16 at the default chunk
+    target): no component exceeds it in magnitude, so every sum is exact.
+    It holds each section's ``context_sources`` as token-table rows: the
     heading path and the pad pool per section, and one digest and one
     metadata row array per document, shared by its sections. ``vectors``
     sums each distinct block (one per section and chunk length) from the
@@ -245,7 +250,9 @@ class EnrichedSums:
     def __init__(self, chunks: Sequence[Chunk], doc_by_id: dict[str, Document], embedder: Embedder):
         self.chunks = chunks
         self._embedder = embedder
-        self._chunk_sums = embedder.sum_many([chunk.tokens for chunk in chunks])
+        longest = max((chunk.length for chunk in chunks), default=0)
+        # -longest - 1: a signed type that holds +longest too (int8 stops at +127)
+        self._chunk_sums = embedder.sum_many([chunk.tokens for chunk in chunks]).astype(np.min_scalar_type(-longest - 1))
         doc_rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._sources: dict[tuple[str, int], ContextSources] = {}
         for chunk in chunks:

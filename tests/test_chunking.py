@@ -88,6 +88,15 @@ def test_chunk_heading_path_copied(small_corpus):
         assert c.heading_path == doc.sections[c.section_index].heading_path
 
 
+def test_chunk_tokens_are_a_list_of_their_own(small_corpus):
+    docs, _ = small_corpus
+    doc = docs[0]
+    bodies = [list(section.body) for section in doc.sections]
+    for c in chunk_document(doc, 250):
+        c.tokens.append("extra")
+    assert [section.body for section in doc.sections] == bodies
+
+
 def test_chunk_id_round_trip():
     cid = make_chunk_id("technical-0003", 7, 500)
     assert parse_chunk_id(cid) == ("technical-0003", 7, 500)

@@ -824,3 +824,27 @@ def test_python_m_cirbench_runs_the_cli():
     done = subprocess.run([sys.executable, "-m", "cirbench", "--help"], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: cirbench")
+
+
+def test_import_and_query_leave_openssl_unloaded_until_a_digest_is_taken(tmp_path):
+    rng = np.random.default_rng(4)
+    vecs = [v / np.linalg.norm(v) for v in rng.standard_normal((2, 8))]
+    path = tmp_path / "vectors.cirx"
+    save_index(build_index([("a:s000:t00000", "a", 0, vecs[0]), ("b:s000:t00000", "b", 0, vecs[1])], 5), path)
+    script = (
+        "import sys\n"
+        "import cirbench.cli\n"
+        "loaded = ['_hashlib' in sys.modules]\n"
+        "code = cirbench.cli.main(['query', '--index', sys.argv[1], '--text', 'a b c', '--k', '2'])\n"
+        "loaded.append('_hashlib' in sys.modules)\n"
+        "from cirbench.evaluation import _config_digest\n"
+        "from cirbench.embedding import EmbedderConfig\n"
+        "_config_digest([], [], [], EmbedderConfig(), 250)\n"
+        "print(code, *loaded, '_hashlib' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, str(path)], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    # Importing hashlib maps OpenSSL's libcrypto, a few MB of RSS, and only a sweep's digest needs it.
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} False False True"

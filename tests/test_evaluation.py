@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from cirbench import (
     SweepFlags,
     SweepReport,
     all_strategies,
+    chunk_document,
     dilution_curve,
     emit_report,
     generate_corpus,
@@ -37,12 +39,14 @@ from cirbench import __version__
 from cirbench.corpus import SPECIFIC, THEMATIC, corpus_records
 from cirbench.embedding import unit_rows
 from cirbench.errors import ConfigError, EmbeddingError
+from cirbench.injection import EnrichedSums
 from cirbench.evaluation import (
     CSV_HEADER,
     NDCG_K,
     RECALL_K,
     SEARCH_DEPTH,
     _config_digest,
+    evaluate_strategy,
     parse_report_jsonl,
     report_csv,
 )
@@ -368,6 +372,28 @@ def test_report_jsonl_round_trip(tmp_path):
     (path,) = emit_report(report, "jsonl", tmp_path)
     back = parse_report_jsonl(path)
     assert back == report
+
+
+def test_evaluate_strategy_holds_one_float64_vector_matrix_at_a_time(small_config, small_corpus):
+    docs, queries = small_corpus
+    chunks = [c for d in docs for c in chunk_document(d, small_config.chunk_token_target)]
+    embedder = Embedder(EmbedderConfig())
+    sums = EnrichedSums(chunks, {d.doc_id: d for d in docs}, embedder)
+    query_vectors = embedder.embed_many([q.text for q in queries])
+    doc_rows: dict[str, list[int]] = {}
+    for i, chunk in enumerate(chunks):
+        doc_rows.setdefault(chunk.doc_id, []).append(i)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        evaluate_strategy(sums, queries, query_vectors, strategy("ddai"), doc_rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The vectors and the block sums they come from, then their float32 cast beside the index's float64 copy:
+    # about 1.8 matrices here. Keeping the float64 vectors beside the index makes it 2.6, and handing the index
+    # float32 rows one by one, which it stacks a block at a time, 2.1.
+    assert peak - start < 2.0 * len(chunks) * EmbedderConfig().dim * 8
 
 
 def test_sweeps_sharing_a_dim_each_match_a_fresh_process(small_config, small_corpus):

@@ -5,6 +5,7 @@ import tracemalloc
 from dataclasses import fields
 from itertools import cycle, islice
 
+import numpy as np
 import pytest
 
 from cirbench import (
@@ -334,3 +335,27 @@ def test_sweep_sums_build_no_block_as_tokens():
     # The output, the distinct blocks' sums and 512 KiB. An overload block is
     # about 1,400 tokens; as token lists the blocks alone would take some 5 MB.
     assert peak <= vectors.nbytes + blocks * vectors.shape[1] * vectors.itemsize + (1 << 19)
+
+
+@pytest.mark.parametrize("target, dtype", [(16, np.int8), (127, np.int8), (128, np.int16), (250, np.int16)])
+def test_sweep_sums_hold_chunk_sums_as_the_narrowest_integers_that_fit(small_corpus, target, dtype):
+    docs, _ = small_corpus
+    chunks = [c for d in docs for c in chunk_document(d, target)]
+    assert max(c.length for c in chunks) == target
+    sums = EnrichedSums(chunks, {d.doc_id: d for d in docs}, Embedder(EmbedderConfig()))
+    # No component of a chunk's sum exceeds the chunk's length in magnitude, either way: int8 holds -128 but not +128.
+    assert sums._chunk_sums.dtype == dtype
+
+
+@pytest.mark.parametrize("n", [127, 128])
+def test_sweep_sums_of_one_repeated_token_reproduce_embeddings(n):
+    # Each component of such a chunk's sum is 0 or +-n: at 128, one past what int8 holds.
+    doc = Document("technical-0000", "technical", ["alpha"], [Section(["intro"], ["same"] * n, [])])
+    chunks = chunk_document(doc, 128)
+    embedder = Embedder(EmbedderConfig())
+    sums = EnrichedSums(chunks, {doc.doc_id: doc}, embedder)
+    assert np.abs(sums._chunk_sums).max() == n
+    for strat in all_strategies():
+        vectors, _ = sums.vectors(strat)
+        expected = embedder.embed_many([enrich(c, build_context(doc, c, strat)).tokens for c in chunks])
+        assert vectors.tobytes() == expected.tobytes()

@@ -403,6 +403,16 @@ def test_a_number_past_the_float_range_fails_naming_its_line(tmp_path, capsys, f
     assert not out.exists()
 
 
+def test_an_integer_past_the_float_range_fails_saying_so(tmp_path, capsys, small_corpus):
+    path, out = tmp_path / "sweep.jsonl", tmp_path / "out"
+    _write("report", path, small_corpus)
+    lineno = _replace_in_file(path, "homogenization", 10**400)
+    assert main(["report", "--sweep", str(path), "--format", "csv", "--out-dir", str(out)]) == EXIT_FORMAT
+    message = "bad record (ValueError: homogenization: number is too large for a float)"
+    assert f"error: {path}: line {lineno}: {message}\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_an_enriched_record_that_repeats_a_key_fails_naming_its_line_and_key(tmp_path, capsys, small_corpus):
     path, out = tmp_path / "enriched.jsonl", tmp_path / "out.cirx"
     _write("enriched", path, small_corpus)
